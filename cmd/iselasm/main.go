@@ -36,17 +36,36 @@ import (
 	"iselgen/internal/term"
 )
 
-func main() {
-	target := flag.String("target", "riscv", "target: riscv, aarch64, x86, or a path to a .spec file")
-	disasm := flag.String("d", "", "disassemble hex bytes (literal, or @file)")
-	run := flag.Bool("run", false, "assemble and execute on the decoding emulator")
-	argList := flag.String("args", "", "comma-separated integer arguments for -run")
-	params := flag.String("params", "", "registers receiving -args (default r0,r1,...)")
-	retReg := flag.String("ret", "r0", "register read as the result after -run")
-	base := flag.Uint64("base", enc.Base, "load address")
-	flag.Parse()
+// options are the command-line settings of iselasm.
+type options struct {
+	target  string
+	disasm  string
+	run     bool
+	argList string
+	params  string
+	retReg  string
+	base    uint64
+}
 
-	tgt, err := loadTarget(*target)
+// newFlags declares iselasm's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iselasm", flag.ExitOnError)
+	fs.StringVar(&cli.target, "target", "riscv", "target: riscv, aarch64, x86, or a path to a .spec file")
+	fs.StringVar(&cli.disasm, "d", "", "disassemble hex bytes (literal, or @file)")
+	fs.BoolVar(&cli.run, "run", false, "assemble and execute on the decoding emulator")
+	fs.StringVar(&cli.argList, "args", "", "comma-separated integer arguments for -run")
+	fs.StringVar(&cli.params, "params", "", "registers receiving -args (default r0,r1,...)")
+	fs.StringVar(&cli.retReg, "ret", "r0", "register read as the result after -run")
+	fs.Uint64Var(&cli.base, "base", enc.Base, "load address")
+	return fs, cli
+}
+
+func main() {
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
+
+	tgt, err := loadTarget(cli.target)
 	if err != nil {
 		fatal(err)
 	}
@@ -55,31 +74,31 @@ func main() {
 		fatal(err)
 	}
 
-	if *disasm != "" {
-		code, err := parseHex(*disasm)
+	if cli.disasm != "" {
+		code, err := parseHex(cli.disasm)
 		if err != nil {
 			fatal(err)
 		}
-		for _, ln := range c.Disassemble(code, *base) {
+		for _, ln := range c.Disassemble(code, cli.base) {
 			fmt.Printf("%#8x:  %-12s %s\n", ln.Addr, enc.HexBytes(ln.Bytes), ln.Text)
 		}
 		return
 	}
 
-	if flag.NArg() != 1 {
+	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: iselasm [-target T] [-d hex | [-run] prog.s]")
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	img, err := enc.ParseAsm(c, string(src), *base)
+	img, err := enc.ParseAsm(c, string(src), cli.base)
 	if err != nil {
 		fatal(err)
 	}
 
-	if !*run {
+	if !cli.run {
 		for _, u := range img.Units {
 			fmt.Printf("%#8x:  %-12s %s\n", u.Addr, enc.HexBytes(u.Bytes), c.Format(u.IC, u.Ops))
 		}
@@ -87,16 +106,16 @@ func main() {
 		return
 	}
 
-	args, err := parseArgs(*argList)
+	args, err := parseArgs(cli.argList)
 	if err != nil {
 		fatal(err)
 	}
-	if *params == "" {
+	if cli.params == "" {
 		for i := range args {
 			img.ParamRegs = append(img.ParamRegs, i)
 		}
 	} else {
-		for _, f := range strings.Split(*params, ",") {
+		for _, f := range strings.Split(cli.params, ",") {
 			r, err := parseReg(strings.TrimSpace(f))
 			if err != nil {
 				fatal(err)
@@ -104,7 +123,7 @@ func main() {
 			img.ParamRegs = append(img.ParamRegs, r)
 		}
 	}
-	if img.RetReg, err = parseReg(*retReg); err != nil {
+	if img.RetReg, err = parseReg(cli.retReg); err != nil {
 		fatal(err)
 	}
 	e := &enc.Emulator{Codec: c}

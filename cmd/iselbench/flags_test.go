@@ -1,0 +1,12 @@
+package main
+
+import (
+	"flag"
+	"testing"
+
+	"iselgen/internal/citest"
+)
+
+func TestCIWorkflowFlagsParse(t *testing.T) {
+	citest.CheckWorkflow(t, "iselbench", func() *flag.FlagSet { fs, _ := newFlags(); return fs })
+}

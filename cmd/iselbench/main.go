@@ -70,52 +70,81 @@ import (
 	"path/filepath"
 )
 
-func main() {
-	target := flag.String("target", "aarch64", "target: aarch64 or riscv")
-	scale := flag.Int("scale", 1, "workload scale factor")
-	workers := flag.Int("workers", 0, "synthesis matcher threads (0 = default)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	fig6 := flag.Bool("fig6", false, "print length distributions (Fig. 6)")
-	table3 := flag.Bool("table3", false, "print fallback table (Table III)")
-	sizes := flag.Bool("sizes", false, "print binary sizes (§VIII-C)")
-	synthJSON := flag.Bool("synthjson", false, "emit the full-vs-incremental synthesis baseline JSON")
-	withCost := flag.Bool("cost", false, "attach the target cost model (adds the synthopt backend)")
-	costJSON := flag.Bool("costjson", false, "emit the greedy-vs-optimal cost baseline JSON (both targets)")
-	corpus := flag.String("corpus", "internal/fuzz/testdata/corpus", "fuzz corpus swept by -costjson")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	obsJSON := flag.Bool("obsjson", false, "emit the observability-overhead baseline JSON (BENCH_obs.json) and enforce the disabled-overhead guard")
-	encJSON := flag.Bool("encjson", false, "emit the machine-encoding baseline JSON (BENCH_enc.json): round-trip counts and encode/decode throughput")
-	gateFullMS := flag.Float64("gate-full-ms", 0, "with -synthjson: fail if aarch64 full_synth_ms exceeds this (0 = no gate)")
-	gateWarmMS := flag.Float64("gate-warm-ms", 0, "with -synthjson: fail if aarch64 warm_full_synth_ms exceeds this (0 = no gate)")
-	journalStats := flag.String("journal-stats", "", "with -synthjson: write the per-target solver journal stats JSON to this file")
-	flag.Parse()
+// options are the command-line settings of iselbench.
+type options struct {
+	target       string
+	scale        int
+	workers      int
+	jsonOut      bool
+	fig6         bool
+	table3       bool
+	sizes        bool
+	synthJSON    bool
+	withCost     bool
+	costJSON     bool
+	corpus       string
+	traceOut     string
+	obsJSON      bool
+	encJSON      bool
+	gateFullMS   float64
+	gateWarmMS   float64
+	journalStats string
+}
 
-	if *synthJSON {
-		emitSynthJSON(*workers, *gateFullMS, *gateWarmMS, *journalStats)
+// newFlags declares iselbench's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iselbench", flag.ExitOnError)
+	fs.StringVar(&cli.target, "target", "aarch64", "target: aarch64 or riscv")
+	fs.IntVar(&cli.scale, "scale", 1, "workload scale factor")
+	fs.IntVar(&cli.workers, "workers", 0, "synthesis matcher threads (0 = default)")
+	fs.BoolVar(&cli.jsonOut, "json", false, "emit machine-readable JSON instead of tables")
+	fs.BoolVar(&cli.fig6, "fig6", false, "print length distributions (Fig. 6)")
+	fs.BoolVar(&cli.table3, "table3", false, "print fallback table (Table III)")
+	fs.BoolVar(&cli.sizes, "sizes", false, "print binary sizes (§VIII-C)")
+	fs.BoolVar(&cli.synthJSON, "synthjson", false, "emit the full-vs-incremental synthesis baseline JSON")
+	fs.BoolVar(&cli.withCost, "cost", false, "attach the target cost model (adds the synthopt backend)")
+	fs.BoolVar(&cli.costJSON, "costjson", false, "emit the greedy-vs-optimal cost baseline JSON (both targets)")
+	fs.StringVar(&cli.corpus, "corpus", "internal/fuzz/testdata/corpus", "fuzz corpus swept by -costjson")
+	fs.StringVar(&cli.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file")
+	fs.BoolVar(&cli.obsJSON, "obsjson", false, "emit the observability-overhead baseline JSON (BENCH_obs.json) and enforce the disabled-overhead guard")
+	fs.BoolVar(&cli.encJSON, "encjson", false, "emit the machine-encoding baseline JSON (BENCH_enc.json): round-trip counts and encode/decode throughput")
+	fs.Float64Var(&cli.gateFullMS, "gate-full-ms", 0, "with -synthjson: fail if aarch64 full_synth_ms exceeds this (0 = no gate)")
+	fs.Float64Var(&cli.gateWarmMS, "gate-warm-ms", 0, "with -synthjson: fail if aarch64 warm_full_synth_ms exceeds this (0 = no gate)")
+	fs.StringVar(&cli.journalStats, "journal-stats", "", "with -synthjson: write the per-target solver journal stats JSON to this file")
+	return fs, cli
+}
+
+func main() {
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
+
+	if cli.synthJSON {
+		emitSynthJSON(cli.workers, cli.gateFullMS, cli.gateWarmMS, cli.journalStats)
 		return
 	}
-	if *costJSON {
-		emitCostJSON(*workers, *corpus)
+	if cli.costJSON {
+		emitCostJSON(cli.workers, cli.corpus)
 		return
 	}
-	if *obsJSON {
-		emitObsJSON(*workers)
+	if cli.obsJSON {
+		emitObsJSON(cli.workers)
 		return
 	}
-	if *encJSON {
+	if cli.encJSON {
 		emitEncJSON()
 		return
 	}
 
 	var s *harness.Setup
 	var err error
-	switch *target {
+	switch cli.target {
 	case "aarch64":
 		s, err = harness.NewAArch64()
 	case "riscv":
 		s, err = harness.NewRISCV()
 	default:
-		err = fmt.Errorf("unknown target %q", *target)
+		err = fmt.Errorf("unknown target %q", cli.target)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iselbench:", err)
@@ -123,11 +152,11 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	if *workers > 0 {
-		cfg.Workers = *workers
+	if cli.workers > 0 {
+		cfg.Workers = cli.workers
 	}
-	if *withCost {
-		model, merr := harness.CostModel(*target)
+	if cli.withCost {
+		model, merr := harness.CostModel(cli.target)
 		if merr != nil {
 			fmt.Fprintln(os.Stderr, "iselbench:", merr)
 			os.Exit(1)
@@ -135,14 +164,14 @@ func main() {
 		cfg.CostModel = model
 	}
 	var o *obs.Obs
-	if *traceOut != "" {
+	if cli.traceOut != "" {
 		o = obs.New()
 		obs.SetDefault(o) // spec parse/symexec spans
 		cfg.Obs = o
-		defer writeTrace(o, *traceOut)
+		defer writeTrace(o, cli.traceOut)
 	}
 
-	if !*jsonOut {
+	if !cli.jsonOut {
 		fmt.Printf("synthesizing %s rule library...\n", s.Name)
 	}
 	t0 := time.Now()
@@ -151,31 +180,31 @@ func main() {
 	if o != nil {
 		s.AttachObs(o) // selection spans + decision provenance too
 	}
-	if !*jsonOut {
+	if !cli.jsonOut {
 		fmt.Printf("%d rules\n\n", lib.Len())
 	}
 
-	if *fig6 {
+	if cli.fig6 {
 		fmt.Println(harness.Fig6(s, lib))
 		return
 	}
 
-	rows, err := s.RunSuite(*scale)
+	rows, err := s.RunSuite(cli.scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iselbench:", err)
 		os.Exit(1)
 	}
 
-	if *jsonOut {
-		emitJSON(s, lib.Len(), synthElapsed, *scale, rows)
+	if cli.jsonOut {
+		emitJSON(s, lib.Len(), synthElapsed, cli.scale, rows)
 		return
 	}
 
-	if *table3 {
+	if cli.table3 {
 		fmt.Println(harness.TableIII(rows))
 		return
 	}
-	if *sizes {
+	if cli.sizes {
 		fmt.Println(harness.SizeTable(rows))
 		return
 	}
@@ -185,7 +214,7 @@ func main() {
 		figName = "Fig. 11"
 	}
 	fmt.Printf("%s analog — runtime normalized to the SelectionDAG analog (%s, scale %d)\n\n",
-		figName, s.Name, *scale)
+		figName, s.Name, cli.scale)
 	norm := harness.Normalized(rows, "selectiondag")
 	var workloads []string
 	for w := range norm {

@@ -92,36 +92,69 @@ import (
 	"iselgen/internal/solver"
 )
 
+// options are the command-line settings of iseld.
+type options struct {
+	addr            string
+	cacheDir        string
+	cacheEntries    int
+	workers         int
+	synthWorkers    int
+	queue           int
+	patterns        int
+	timeout         time.Duration
+	inputs          int
+	cexCache        int
+	traceSpans      int
+	traceSample     float64
+	noObs           bool
+	maxJobs         int
+	peers           string
+	self            string
+	clusterMode     string
+	hedge           time.Duration
+	breakerFailures int
+	breakerCooldown time.Duration
+	drainTimeout    time.Duration
+}
+
+// newFlags declares iseld's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iseld", flag.ExitOnError)
+	fs.StringVar(&cli.addr, "addr", ":8791", "listen address")
+	fs.StringVar(&cli.cacheDir, "cache-dir", "", "disk artifact cache directory (empty = memory only)")
+	fs.IntVar(&cli.cacheEntries, "cache-entries", 0, "LRU cap on in-memory cached libraries (0 = unbounded)")
+	fs.IntVar(&cli.workers, "workers", 2, "synthesis jobs running at once")
+	fs.IntVar(&cli.synthWorkers, "synth-workers", 0, "matcher threads per synthesis job (0 = ISEL_WORKERS or NumCPU)")
+	fs.IntVar(&cli.queue, "queue", 8, "waiting-job queue depth (full queue answers 429)")
+	fs.IntVar(&cli.patterns, "patterns", 0, "limit corpus patterns per synthesis (0 = all)")
+	fs.DurationVar(&cli.timeout, "timeout", 0, "default per-job synthesis deadline (0 = none)")
+	fs.IntVar(&cli.inputs, "inputs", 0, "test inputs per sequence (0 = default)")
+	fs.IntVar(&cli.cexCache, "cex-cache", 0, "counterexample cache capacity (0 = ISEL_CEX_CACHE or default)")
+	fs.IntVar(&cli.traceSpans, "trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
+	fs.Float64Var(&cli.traceSample, "trace-sample", 0, "fraction of requests starting a distributed trace (0 = all, <0 = none; valid incoming X-Iseld-Trace contexts are always honored)")
+	fs.BoolVar(&cli.noObs, "no-obs", false, "disable tracing, histograms, and decision provenance")
+	fs.IntVar(&cli.maxJobs, "max-jobs", 0, "cap on async jobs queued+running via POST /v1/jobs (0 = default)")
+	fs.StringVar(&cli.peers, "peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
+	fs.StringVar(&cli.self, "self", "", "this replica's base URL as it appears in -peers")
+	fs.StringVar(&cli.clusterMode, "cluster-mode", cluster.ModeFill, "cluster mode: fill (peer cache fills) or forward (proxy to owner)")
+	fs.DurationVar(&cli.hedge, "hedge", 150*time.Millisecond, "delay before hedging a cache-only probe to the next replica (<0 = off)")
+	fs.IntVar(&cli.breakerFailures, "breaker-failures", 3, "consecutive peer failures that open its circuit")
+	fs.DurationVar(&cli.breakerCooldown, "breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
+	fs.DurationVar(&cli.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget: drain in-flight work and flush the disk cache")
+	return fs, cli
+}
+
 func main() {
-	addr := flag.String("addr", ":8791", "listen address")
-	cacheDir := flag.String("cache-dir", "", "disk artifact cache directory (empty = memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries (0 = unbounded)")
-	workers := flag.Int("workers", 2, "synthesis jobs running at once")
-	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = ISEL_WORKERS or NumCPU)")
-	queue := flag.Int("queue", 8, "waiting-job queue depth (full queue answers 429)")
-	patterns := flag.Int("patterns", 0, "limit corpus patterns per synthesis (0 = all)")
-	timeout := flag.Duration("timeout", 0, "default per-job synthesis deadline (0 = none)")
-	inputs := flag.Int("inputs", 0, "test inputs per sequence (0 = default)")
-	cexCache := flag.Int("cex-cache", 0, "counterexample cache capacity (0 = ISEL_CEX_CACHE or default)")
-	traceSpans := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of requests starting a distributed trace (0 = all, <0 = none; valid incoming X-Iseld-Trace contexts are always honored)")
-	noObs := flag.Bool("no-obs", false, "disable tracing, histograms, and decision provenance")
-	maxJobs := flag.Int("max-jobs", 0, "cap on async jobs queued+running via POST /v1/jobs (0 = default)")
-	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
-	self := flag.String("self", "", "this replica's base URL as it appears in -peers")
-	clusterMode := flag.String("cluster-mode", cluster.ModeFill, "cluster mode: fill (peer cache fills) or forward (proxy to owner)")
-	hedge := flag.Duration("hedge", 150*time.Millisecond, "delay before hedging a cache-only probe to the next replica (<0 = off)")
-	breakerFailures := flag.Int("breaker-failures", 3, "consecutive peer failures that open its circuit")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: drain in-flight work and flush the disk cache")
-	flag.Parse()
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	var o *obs.Obs
-	if !*noObs {
+	if !cli.noObs {
 		o = obs.New()
-		if *traceSpans > 0 {
-			o.Trace = obs.NewTracer(*traceSpans)
+		if cli.traceSpans > 0 {
+			o.Trace = obs.NewTracer(cli.traceSpans)
 		}
 		// Deep layers (spec parse/symexec) pick the default up since
 		// their APIs carry no configuration.
@@ -129,24 +162,24 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.Workers = core.ResolveWorkers(*synthWorkers)
-	if *inputs > 0 {
-		cfg.TestInputs = *inputs
+	cfg.Workers = core.ResolveWorkers(cli.synthWorkers)
+	if cli.inputs > 0 {
+		cfg.TestInputs = cli.inputs
 	}
 	// The counterexample screen is a pure perf knob (verdict-preserving,
 	// excluded from cache fingerprints), resolved flag > env > default.
-	smt.Cex.SetCapacity(smt.ResolveCexCap(*cexCache))
+	smt.Cex.SetCapacity(smt.ResolveCexCap(cli.cexCache))
 
 	// With a disk cache configured, the solver verdict memo persists
 	// alongside the artifacts: settled equivalence verdicts from past
 	// daemon lifetimes replay at startup, so a warm restart re-verifies
 	// libraries without re-running a single bit-blast.
-	if *cacheDir != "" {
+	if cli.cacheDir != "" {
 		solver.Shared.SetLogger(func(format string, args ...any) {
 			logger.Warn(fmt.Sprintf(format, args...))
 		})
-		jp := filepath.Join(*cacheDir, "solver.journal")
-		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
+		jp := filepath.Join(cli.cacheDir, "solver.journal")
+		if err := os.MkdirAll(cli.cacheDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "iseld:", err)
 			os.Exit(1)
 		}
@@ -159,16 +192,16 @@ func main() {
 		}
 	}
 	sv, err := service.New(service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheDir:       *cacheDir,
-		CacheEntries:   *cacheEntries,
+		Workers:        cli.workers,
+		QueueDepth:     cli.queue,
+		CacheDir:       cli.cacheDir,
+		CacheEntries:   cli.cacheEntries,
 		Synth:          cfg,
-		MaxPatterns:    *patterns,
-		DefaultTimeout: *timeout,
-		MaxJobs:        *maxJobs,
+		MaxPatterns:    cli.patterns,
+		DefaultTimeout: cli.timeout,
+		MaxJobs:        cli.maxJobs,
 		Obs:            o,
-		TraceSample:    *traceSample,
+		TraceSample:    cli.traceSample,
 		Logger:         logger,
 	})
 	if err != nil {
@@ -180,24 +213,24 @@ func main() {
 	// ring routes cache-fill ownership, and the handler gains forwarding
 	// (in forward mode) plus GET /v1/cluster.
 	handler := http.Handler(nil)
-	if *peers != "" {
+	if cli.peers != "" {
 		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
+		for _, p := range strings.Split(cli.peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peerList = append(peerList, strings.TrimRight(p, "/"))
 			}
 		}
-		if *self == "" {
+		if cli.self == "" {
 			fmt.Fprintln(os.Stderr, "iseld: -peers requires -self (this replica's URL in the peer list)")
 			os.Exit(1)
 		}
 		node, err := cluster.New(sv, cluster.Config{
-			Self:             strings.TrimRight(*self, "/"),
+			Self:             strings.TrimRight(cli.self, "/"),
 			Peers:            peerList,
-			Mode:             *clusterMode,
-			HedgeDelay:       *hedge,
-			BreakerThreshold: *breakerFailures,
-			BreakerCooldown:  *breakerCooldown,
+			Mode:             cli.clusterMode,
+			HedgeDelay:       cli.hedge,
+			BreakerThreshold: cli.breakerFailures,
+			BreakerCooldown:  cli.breakerCooldown,
 			Obs:              o,
 			Logger:           logger,
 		})
@@ -210,17 +243,17 @@ func main() {
 		sv.SetTraceCollector(node)
 		handler = node.Handler()
 		logger.Info("iseld clustered",
-			"self", *self, "peers", len(peerList), "mode", *clusterMode)
+			"self", cli.self, "peers", len(peerList), "mode", cli.clusterMode)
 	} else {
 		handler = sv.Handler()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{Addr: cli.addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("iseld listening",
-		"addr", *addr, "workers", *workers, "queue", *queue,
-		"cache_dir", *cacheDir, "observability", !*noObs)
+		"addr", cli.addr, "workers", cli.workers, "queue", cli.queue,
+		"cache_dir", cli.cacheDir, "observability", !cli.noObs)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -236,7 +269,7 @@ func main() {
 	// in-flight requests (async jobs included) finish, then flush the
 	// disk-cache persist queue — so a SIGTERM'd replica leaves nothing
 	// half-answered and nothing uncached.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), cli.drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		logger.Error("iseld shutdown", "err", err)

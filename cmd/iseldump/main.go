@@ -44,35 +44,56 @@ import (
 	"iselgen/internal/isel"
 )
 
+// options are the command-line settings of iseldump.
+type options struct {
+	target     string
+	instName   string
+	canonName  string
+	corpus     int
+	mirOf      string
+	provenance bool
+	rulesDump  bool
+	disasm     bool
+	patterns   int
+}
+
+// newFlags declares iseldump's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iseldump", flag.ExitOnError)
+	fs.StringVar(&cli.target, "target", "aarch64", "target: aarch64 or riscv")
+	fs.StringVar(&cli.instName, "inst", "", "print the effect terms of an instruction")
+	fs.StringVar(&cli.canonName, "canon", "", "print the canonical form of an instruction's effects")
+	fs.IntVar(&cli.corpus, "corpus", 0, "print the top N corpus patterns")
+	fs.StringVar(&cli.mirOf, "mir", "", "print the handwritten backend's machine code for a workload")
+	fs.BoolVar(&cli.provenance, "provenance", false, "synthesize and print each rule's provenance (stable order)")
+	fs.BoolVar(&cli.rulesDump, "rules", false, "synthesize and print each rule's legacy + model cost (stable order)")
+	fs.BoolVar(&cli.disasm, "disasm", false, "with -mir: assemble the selection and print bytes + decoded mnemonics")
+	fs.IntVar(&cli.patterns, "patterns", 0, "limit corpus patterns for -provenance (0 = all)")
+	return fs, cli
+}
+
 func main() {
-	target := flag.String("target", "aarch64", "target: aarch64 or riscv")
-	instName := flag.String("inst", "", "print the effect terms of an instruction")
-	canonName := flag.String("canon", "", "print the canonical form of an instruction's effects")
-	corpus := flag.Int("corpus", 0, "print the top N corpus patterns")
-	mirOf := flag.String("mir", "", "print the handwritten backend's machine code for a workload")
-	provenance := flag.Bool("provenance", false, "synthesize and print each rule's provenance (stable order)")
-	rulesDump := flag.Bool("rules", false, "synthesize and print each rule's legacy + model cost (stable order)")
-	disasm := flag.Bool("disasm", false, "with -mir: assemble the selection and print bytes + decoded mnemonics")
-	patterns := flag.Int("patterns", 0, "limit corpus patterns for -provenance (0 = all)")
-	flag.Parse()
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
 
 	var s *harness.Setup
 	var err error
-	switch *target {
+	switch cli.target {
 	case "aarch64":
 		s, err = harness.NewAArch64()
 	case "riscv":
 		s, err = harness.NewRISCV()
 	default:
-		err = fmt.Errorf("unknown target %q", *target)
+		err = fmt.Errorf("unknown target %q", cli.target)
 	}
 	if err != nil {
 		fatal(err)
 	}
 
 	switch {
-	case *instName != "":
-		inst := mustInst(s, *instName)
+	case cli.instName != "":
+		inst := mustInst(s, cli.instName)
 		fmt.Printf("%s (%d operands, latency %d):\n", inst.Name, len(inst.Operands), inst.Latency)
 		for _, op := range inst.Operands {
 			fmt.Printf("  operand %s: %s%d\n", op.Name, op.Kind, op.Width)
@@ -81,24 +102,24 @@ func main() {
 			fmt.Printf("  %s effect: %s\n", e.Kind, e.T)
 		}
 
-	case *canonName != "":
-		inst := mustInst(s, *canonName)
+	case cli.canonName != "":
+		inst := mustInst(s, cli.canonName)
 		cx := canon.NewCtx()
 		for _, e := range inst.Effects {
 			fmt.Printf("%s %s effect:\n  raw:   %s\n  canon: %s\n",
 				inst.Name, e.Kind, e.T, cx.Canon(e.T))
 		}
 
-	case *corpus > 0:
-		for i, p := range harness.CorpusPatterns(s.Name, *corpus) {
-			if i >= *corpus {
+	case cli.corpus > 0:
+		for i, p := range harness.CorpusPatterns(s.Name, cli.corpus) {
+			if i >= cli.corpus {
 				break
 			}
 			fmt.Printf("%3d  %s\n", i+1, p)
 		}
 
-	case *provenance:
-		lib := s.Synthesize(core.DefaultConfig(), *patterns)
+	case cli.provenance:
+		lib := s.Synthesize(core.DefaultConfig(), cli.patterns)
 		var lines []string
 		for _, r := range lib.Rules {
 			parts := []string{r.Pattern.Key(), r.Source}
@@ -114,14 +135,14 @@ func main() {
 			fmt.Println(l)
 		}
 
-	case *rulesDump:
+	case cli.rulesDump:
 		model, merr := harness.CostModel(s.Name)
 		if merr != nil {
 			fatal(merr)
 		}
 		cfg := core.DefaultConfig()
 		cfg.CostModel = model
-		lib := s.Synthesize(cfg, *patterns)
+		lib := s.Synthesize(cfg, cli.patterns)
 		var lines []string
 		for _, r := range lib.Rules {
 			names := make([]string, len(r.Seq.Insts))
@@ -138,9 +159,9 @@ func main() {
 			fmt.Println(l)
 		}
 
-	case *mirOf != "":
+	case cli.mirOf != "":
 		for _, w := range bench.Suite(1) {
-			if w.Name != *mirOf {
+			if w.Name != cli.mirOf {
 				continue
 			}
 			f := w.Build()
@@ -150,7 +171,7 @@ func main() {
 				fatal(fmt.Errorf("fallback: %s", rep.FallbackReason))
 			}
 			fmt.Print(mf)
-			if *disasm {
+			if cli.disasm {
 				c, cerr := enc.NewCodec(s.ISA)
 				if cerr != nil {
 					fatal(cerr)
@@ -166,10 +187,10 @@ func main() {
 			}
 			return
 		}
-		fatal(fmt.Errorf("unknown workload %q", *mirOf))
+		fatal(fmt.Errorf("unknown workload %q", cli.mirOf))
 
 	default:
-		flag.Usage()
+		fs.Usage()
 	}
 }
 

@@ -21,28 +21,46 @@ import (
 	"iselgen/internal/fuzz"
 )
 
+// options are the command-line settings of iselfuzz.
+type options struct {
+	seed      uint64
+	n         int
+	target    string
+	oracle    string
+	budget    time.Duration
+	corpus    string
+	synth     bool
+	specSynth bool
+}
+
+// newFlags declares iselfuzz's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iselfuzz", flag.ExitOnError)
+	fs.Uint64Var(&cli.seed, "seed", 1, "root random seed; every iteration derives from it deterministically")
+	fs.IntVar(&cli.n, "n", 500, "iterations per oracle")
+	fs.StringVar(&cli.target, "target", "aarch64", "select-diff/selector-diff target: aarch64 or riscv")
+	fs.StringVar(&cli.oracle, "oracle", "select-diff", "oracle to run: select-diff, selector-diff, encode, spec, smt, or all")
+	fs.DurationVar(&cli.budget, "budget", 0, "wall-clock budget (0 = unlimited)")
+	fs.StringVar(&cli.corpus, "corpus", "", "directory for shrunk reproducers (also replayed by go test)")
+	fs.BoolVar(&cli.synth, "synth", true, "select against a freshly synthesized library (handwritten fallback)")
+	fs.BoolVar(&cli.specSynth, "specsynth", false, "differential-check accepted spec mutants (slow)")
+	return fs, cli
+}
+
 func main() {
-	var (
-		seed      = flag.Uint64("seed", 1, "root random seed; every iteration derives from it deterministically")
-		n         = flag.Int("n", 500, "iterations per oracle")
-		target    = flag.String("target", "aarch64", "select-diff/selector-diff target: aarch64 or riscv")
-		oracle    = flag.String("oracle", "select-diff", "oracle to run: select-diff, selector-diff, encode, spec, smt, or all")
-		budget    = flag.Duration("budget", 0, "wall-clock budget (0 = unlimited)")
-		corpus    = flag.String("corpus", "", "directory for shrunk reproducers (also replayed by go test)")
-		synth     = flag.Bool("synth", true, "select against a freshly synthesized library (handwritten fallback)")
-		specSynth = flag.Bool("specsynth", false, "differential-check accepted spec mutants (slow)")
-	)
-	flag.Parse()
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
 
 	opts := fuzz.Options{
-		Seed:      *seed,
-		N:         *n,
-		Target:    *target,
-		Oracle:    *oracle,
-		Budget:    *budget,
-		CorpusDir: *corpus,
-		Synth:     *synth,
-		SpecSynth: *specSynth,
+		Seed:      cli.seed,
+		N:         cli.n,
+		Target:    cli.target,
+		Oracle:    cli.oracle,
+		Budget:    cli.budget,
+		CorpusDir: cli.corpus,
+		Synth:     cli.synth,
+		SpecSynth: cli.specSynth,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -37,37 +37,60 @@ import (
 	"iselgen/internal/term"
 )
 
+// options are the command-line settings of iselgen.
+type options struct {
+	target      string
+	specFile    string
+	rulesOut    string
+	tdOut       string
+	inputs      int
+	maxPatterns int
+	workers     int
+	summary     bool
+	incremental bool
+	fromPath    string
+	traceOut    string
+}
+
+// newFlags declares iselgen's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iselgen", flag.ExitOnError)
+	fs.StringVar(&cli.target, "target", "aarch64", "target: aarch64, riscv, or x86")
+	fs.StringVar(&cli.specFile, "spec", "", "synthesize for an inline DSL spec file instead of a builtin target")
+	fs.StringVar(&cli.rulesOut, "rules", "", "write the loadable rule library to this file")
+	fs.StringVar(&cli.tdOut, "td", "", "write the TableGen-style rule listing to this file")
+	fs.IntVar(&cli.inputs, "inputs", 0, "test inputs per sequence (0 = default)")
+	fs.IntVar(&cli.maxPatterns, "patterns", 0, "limit considered patterns (0 = all)")
+	fs.IntVar(&cli.workers, "workers", 0, "matcher threads (0 = ISEL_WORKERS or NumCPU)")
+	fs.BoolVar(&cli.summary, "summary", false, "print the library composition summary")
+	fs.BoolVar(&cli.incremental, "incremental", false, "resynthesize incrementally from a prior artifact (-from)")
+	fs.StringVar(&cli.fromPath, "from", "", "prior rule-library artifact to diff against (with -incremental)")
+	fs.StringVar(&cli.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file")
+	return fs, cli
+}
+
 func main() {
-	target := flag.String("target", "aarch64", "target: aarch64, riscv, or x86")
-	specFile := flag.String("spec", "", "synthesize for an inline DSL spec file instead of a builtin target")
-	rulesOut := flag.String("rules", "", "write the loadable rule library to this file")
-	tdOut := flag.String("td", "", "write the TableGen-style rule listing to this file")
-	inputs := flag.Int("inputs", 0, "test inputs per sequence (0 = default)")
-	maxPatterns := flag.Int("patterns", 0, "limit considered patterns (0 = all)")
-	workers := flag.Int("workers", 0, "matcher threads (0 = ISEL_WORKERS or NumCPU)")
-	summary := flag.Bool("summary", false, "print the library composition summary")
-	incremental := flag.Bool("incremental", false, "resynthesize incrementally from a prior artifact (-from)")
-	fromPath := flag.String("from", "", "prior rule-library artifact to diff against (with -incremental)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	flag.Parse()
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
 
 	cfg := core.DefaultConfig()
-	if *inputs > 0 {
-		cfg.TestInputs = *inputs
+	if cli.inputs > 0 {
+		cfg.TestInputs = cli.inputs
 	}
-	cfg.Workers = core.ResolveWorkers(*workers)
-	if *traceOut != "" {
+	cfg.Workers = core.ResolveWorkers(cli.workers)
+	if cli.traceOut != "" {
 		o := obs.New()
 		obs.SetDefault(o) // spec parse/symexec spans
 		cfg.Obs = o
-		defer writeTrace(o, *traceOut)
+		defer writeTrace(o, cli.traceOut)
 	}
 
-	if *incremental {
-		if *fromPath == "" {
+	if cli.incremental {
+		if cli.fromPath == "" {
 			fatal(fmt.Errorf("-incremental requires -from <artifact>"))
 		}
-		runIncremental(*target, *specFile, *fromPath, cfg, *maxPatterns, *summary, *rulesOut, *tdOut)
+		runIncremental(cli.target, cli.specFile, cli.fromPath, cfg, cli.maxPatterns, cli.summary, cli.rulesOut, cli.tdOut)
 		return
 	}
 
@@ -75,21 +98,21 @@ func main() {
 	var tgt *isa.Target
 	var tableII string
 	t0 := time.Now()
-	if *specFile != "" {
-		name := strings.TrimSuffix(filepath.Base(*specFile), filepath.Ext(*specFile))
+	if cli.specFile != "" {
+		name := strings.TrimSuffix(filepath.Base(cli.specFile), filepath.Ext(cli.specFile))
 		var err error
-		lib, tgt, tableII, err = synthInline(name, *specFile, cfg, *maxPatterns)
+		lib, tgt, tableII, err = synthInline(name, cli.specFile, cfg, cli.maxPatterns)
 		if err != nil {
 			fatal(err)
 		}
-		printResults(lib, tgt, name, t0, tableII, *summary, *rulesOut, *tdOut)
+		printResults(lib, tgt, name, t0, tableII, cli.summary, cli.rulesOut, cli.tdOut)
 		return
 	}
-	switch *target {
+	switch cli.target {
 	case "aarch64", "riscv":
 		var s *harness.Setup
 		var err error
-		if *target == "aarch64" {
+		if cli.target == "aarch64" {
 			s, err = harness.NewAArch64()
 		} else {
 			s, err = harness.NewRISCV()
@@ -97,7 +120,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		lib = s.Synthesize(cfg, *maxPatterns)
+		lib = s.Synthesize(cfg, cli.maxPatterns)
 		tgt = s.ISA
 		tableII = s.TableII(lib)
 	case "x86":
@@ -109,16 +132,16 @@ func main() {
 		synth := core.New(b, xtgt, cfg)
 		synth.BuildPool()
 		lib = rules.NewLibrary("x86")
-		pats := x86Patterns(*maxPatterns)
+		pats := x86Patterns(cli.maxPatterns)
 		synth.Synthesize(pats, lib)
 		tgt = xtgt
 		tableII = fmt.Sprintf("x86: %d sequences, %d rules (index %d, smt %d)\n",
 			synth.Stats.Sequences, lib.Len(), synth.Stats.IndexRules, synth.Stats.SMTRules)
 	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+		fatal(fmt.Errorf("unknown target %q", cli.target))
 	}
 
-	printResults(lib, tgt, *target, t0, tableII, *summary, *rulesOut, *tdOut)
+	printResults(lib, tgt, cli.target, t0, tableII, cli.summary, cli.rulesOut, cli.tdOut)
 }
 
 // loadFor materializes the builder, target, and pattern corpus for any

@@ -55,45 +55,78 @@ import (
 	"iselgen/internal/service"
 )
 
-func main() {
-	replicas := flag.Int("replicas", 3, "in-process replica count (ignored with -urls)")
-	n := flag.Int("n", 1000, "programs to replay")
-	batch := flag.Int("batch", 32, "programs per /v1/select/batch request")
-	concurrency := flag.Int("concurrency", 8, "concurrent batch requests in flight")
-	target := flag.String("target", "riscv", "selection target (riscv or aarch64)")
-	selector := flag.String("selector", "greedy", "selection engine (greedy or optimal)")
-	seed := flag.Uint64("seed", 1, "program-generation and simulation-vector seed")
-	vectors := flag.Int("vectors", 2, "simulation input vectors per program")
-	mode := flag.String("mode", cluster.ModeFill, "cluster mode: fill or forward")
-	patterns := flag.Int("patterns", 8, "corpus patterns per synthesis (0 = all; in-process only)")
-	workers := flag.Int("workers", 2, "synthesis workers per replica (in-process only)")
-	queue := flag.Int("queue", 16, "scheduler queue depth per replica (in-process only)")
-	inputs := flag.Int("inputs", 16, "test inputs per synthesized sequence (in-process only)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "synthesis deadline for the warm-up job")
-	urls := flag.String("urls", "", "comma-separated replica base URLs (empty = boot in-process)")
-	jsonOut := flag.String("json", "", "write the report to this file (empty = stdout)")
-	traceSample := flag.Float64("trace-sample", 0.25, "fraction of batch requests carrying a client-minted trace context (0 = none; warm jobs are always traced when nonzero)")
-	traceOut := flag.String("trace-out", "", "write the widest assembled fleet trace as Chrome JSON to this file (empty = skip)")
-	gateP99 := flag.Duration("gate-p99", 0, "fail when p99 batch latency exceeds this (0 = off)")
-	gateHit := flag.Float64("gate-hitrate", 0, "fail when the combined cache hit rate is below this fraction (0 = off)")
-	gateTrace := flag.Bool("gate-trace", false, "fail unless every sampled trace assembles completely, at least one spans two replicas, and the p99 bucket exemplar resolves")
-	flag.Parse()
+// options are the command-line settings of iselload.
+type options struct {
+	replicas    int
+	n           int
+	batch       int
+	concurrency int
+	target      string
+	selector    string
+	seed        uint64
+	vectors     int
+	mode        string
+	patterns    int
+	workers     int
+	queue       int
+	inputs      int
+	timeout     time.Duration
+	urls        string
+	jsonOut     string
+	traceSample float64
+	traceOut    string
+	gateP99     time.Duration
+	gateHit     float64
+	gateTrace   bool
+}
 
-	if *n < 1 || *batch < 1 || *concurrency < 1 {
+// newFlags declares iselload's command-line flags on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	cli := &options{}
+	fs := flag.NewFlagSet("iselload", flag.ExitOnError)
+	fs.IntVar(&cli.replicas, "replicas", 3, "in-process replica count (ignored with -urls)")
+	fs.IntVar(&cli.n, "n", 1000, "programs to replay")
+	fs.IntVar(&cli.batch, "batch", 32, "programs per /v1/select/batch request")
+	fs.IntVar(&cli.concurrency, "concurrency", 8, "concurrent batch requests in flight")
+	fs.StringVar(&cli.target, "target", "riscv", "selection target (riscv or aarch64)")
+	fs.StringVar(&cli.selector, "selector", "greedy", "selection engine (greedy or optimal)")
+	fs.Uint64Var(&cli.seed, "seed", 1, "program-generation and simulation-vector seed")
+	fs.IntVar(&cli.vectors, "vectors", 2, "simulation input vectors per program")
+	fs.StringVar(&cli.mode, "mode", cluster.ModeFill, "cluster mode: fill or forward")
+	fs.IntVar(&cli.patterns, "patterns", 8, "corpus patterns per synthesis (0 = all; in-process only)")
+	fs.IntVar(&cli.workers, "workers", 2, "synthesis workers per replica (in-process only)")
+	fs.IntVar(&cli.queue, "queue", 16, "scheduler queue depth per replica (in-process only)")
+	fs.IntVar(&cli.inputs, "inputs", 16, "test inputs per synthesized sequence (in-process only)")
+	fs.DurationVar(&cli.timeout, "timeout", 2*time.Minute, "synthesis deadline for the warm-up job")
+	fs.StringVar(&cli.urls, "urls", "", "comma-separated replica base URLs (empty = boot in-process)")
+	fs.StringVar(&cli.jsonOut, "json", "", "write the report to this file (empty = stdout)")
+	fs.Float64Var(&cli.traceSample, "trace-sample", 0.25, "fraction of batch requests carrying a client-minted trace context (0 = none; warm jobs are always traced when nonzero)")
+	fs.StringVar(&cli.traceOut, "trace-out", "", "write the widest assembled fleet trace as Chrome JSON to this file (empty = skip)")
+	fs.DurationVar(&cli.gateP99, "gate-p99", 0, "fail when p99 batch latency exceeds this (0 = off)")
+	fs.Float64Var(&cli.gateHit, "gate-hitrate", 0, "fail when the combined cache hit rate is below this fraction (0 = off)")
+	fs.BoolVar(&cli.gateTrace, "gate-trace", false, "fail unless every sampled trace assembles completely, at least one spans two replicas, and the p99 bucket exemplar resolves")
+	return fs, cli
+}
+
+func main() {
+	fs, cli := newFlags()
+	fs.Parse(os.Args[1:])
+
+	if cli.n < 1 || cli.batch < 1 || cli.concurrency < 1 {
 		fatal(fmt.Errorf("-n, -batch, and -concurrency must all be positive"))
 	}
 
 	// Generate the program stream up front: one deterministic program per
 	// index, so a run is reproducible from (-seed, -n) alone.
 	gcfg := fuzz.DefaultGenConfig()
-	programs := make([]string, *n)
+	programs := make([]string, cli.n)
 	for i := range programs {
-		programs[i] = fuzz.Gen(bv.NewRNG(fuzz.SubSeed(*seed, uint64(i))), gcfg).Format()
+		programs[i] = fuzz.Gen(bv.NewRNG(fuzz.SubSeed(cli.seed, uint64(i))), gcfg).Format()
 	}
 
 	var endpoints []string
-	if *urls != "" {
-		for _, u := range strings.Split(*urls, ",") {
+	if cli.urls != "" {
+		for _, u := range strings.Split(cli.urls, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				endpoints = append(endpoints, strings.TrimRight(u, "/"))
 			}
@@ -102,7 +135,7 @@ func main() {
 			fatal(fmt.Errorf("-urls parsed to an empty list"))
 		}
 	} else {
-		lc, err := bootCluster(*replicas, *mode, *workers, *queue, *patterns, *inputs)
+		lc, err := bootCluster(cli.replicas, cli.mode, cli.workers, cli.queue, cli.patterns, cli.inputs)
 		if err != nil {
 			fatal(err)
 		}
@@ -122,12 +155,12 @@ func main() {
 	var warmTraces []string
 	for _, ep := range endpoints {
 		hdr := ""
-		if *traceSample > 0 {
+		if cli.traceSample > 0 {
 			tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: 0x15e10ad, Sampled: true}
 			hdr = tc.Header()
 			warmTraces = append(warmTraces, tc.TraceID.String())
 		}
-		if err := warm(client, ep, *target, *timeout, hdr); err != nil {
+		if err := warm(client, ep, cli.target, cli.timeout, hdr); err != nil {
 			fatal(fmt.Errorf("warm %s: %w", ep, err))
 		}
 	}
@@ -136,7 +169,7 @@ func main() {
 
 	// Resolve the warm traces before batch traffic can age their spans
 	// out of the per-replica span rings.
-	trace := ReportTrace{SampleRate: *traceSample}
+	trace := ReportTrace{SampleRate: cli.traceSample}
 	bestID, bestNodes := resolveTraces(client, endpoints[0], warmTraces, &trace)
 
 	// Replay: split the stream into batches, drive them round-robin
@@ -158,18 +191,18 @@ func main() {
 	)
 	var wg sync.WaitGroup
 	runT0 := time.Now()
-	for w := 0; w < *concurrency; w++ {
+	for w := 0; w < cli.concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
 				ep := endpoints[jb.idx%len(endpoints)]
 				req := service.BatchSelectRequest{
-					Target:     *target,
+					Target:     cli.target,
 					Programs:   jb.progs,
-					Selector:   *selector,
-					VectorSeed: *seed,
-					Vectors:    *vectors,
+					Selector:   cli.selector,
+					VectorSeed: cli.seed,
+					Vectors:    cli.vectors,
 				}
 				body, _ := json.Marshal(req)
 				hreq, _ := http.NewRequest(http.MethodPost, ep+"/v1/select/batch", bytes.NewReader(body))
@@ -211,16 +244,16 @@ func main() {
 	// Sample deterministically — every Kth batch carries a minted trace
 	// context, so a run is reproducible traces included.
 	sampleEvery := 0
-	if *traceSample > 0 {
-		sampleEvery = int(1 / *traceSample)
+	if cli.traceSample > 0 {
+		sampleEvery = int(1 / cli.traceSample)
 		if sampleEvery < 1 {
 			sampleEvery = 1
 		}
 	}
 	var batchTraces []string
 	nBatches := 0
-	for off := 0; off < len(programs); off += *batch {
-		end := off + *batch
+	for off := 0; off < len(programs); off += cli.batch {
+		end := off + cli.batch
 		if end > len(programs) {
 			end = len(programs)
 		}
@@ -256,37 +289,37 @@ func main() {
 		trace.Completeness = float64(trace.Assembled) / float64(trace.Sampled)
 	}
 	trace.ExemplarCoverage, trace.ExemplarResolved = checkExemplar(client, endpoints[0])
-	if *traceOut != "" && bestID != "" {
-		if err := saveTrace(client, endpoints[0], bestID, *traceOut); err != nil {
+	if cli.traceOut != "" && bestID != "" {
+		if err := saveTrace(client, endpoints[0], bestID, cli.traceOut); err != nil {
 			fatal(fmt.Errorf("trace-out: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "iselload: wrote %s (trace %s, %d replicas)\n", *traceOut, bestID, bestNodes)
+		fmt.Fprintf(os.Stderr, "iselload: wrote %s (trace %s, %d replicas)\n", cli.traceOut, bestID, bestNodes)
 	}
 
 	rep := buildReport(reportInput{
-		endpoints: len(endpoints), mode: *mode, target: *target, selector: *selector,
-		seed: *seed, patterns: *patterns, batch: *batch, concurrency: *concurrency,
-		programs: *n, warmDur: warmDur, runDur: runDur,
+		endpoints: len(endpoints), mode: cli.mode, target: cli.target, selector: cli.selector,
+		seed: cli.seed, patterns: cli.patterns, batch: cli.batch, concurrency: cli.concurrency,
+		programs: cli.n, warmDur: warmDur, runDur: runDur,
 		latencies: latencies, sums: sums,
 		reqTotal: reqTotal.Load(), reqFailed: reqFailed.Load(),
 		selected: selected.Load(), fallbacks: fallbacks.Load(), progErrs: progErrs.Load(),
 		trace:   trace,
-		gateP99: *gateP99, gateHit: *gateHit, gateTrace: *gateTrace,
+		gateP99: cli.gateP99, gateHit: cli.gateHit, gateTrace: cli.gateTrace,
 	})
 
 	enc, _ := json.MarshalIndent(rep, "", "  ")
 	enc = append(enc, '\n')
-	if *jsonOut != "" {
-		if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
+	if cli.jsonOut != "" {
+		if err := os.WriteFile(cli.jsonOut, enc, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "iselload: wrote %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "iselload: wrote %s\n", cli.jsonOut)
 	} else {
 		os.Stdout.Write(enc)
 	}
 	fmt.Fprintf(os.Stderr,
 		"iselload: %d programs in %.1fs (%.0f/s), p50 %.1fms p99 %.1fms, hit rate %.0f%%, %d failed requests\n",
-		*n, runDur.Seconds(), rep.Throughput, rep.Latency.P50MS, rep.Latency.P99MS,
+		cli.n, runDur.Seconds(), rep.Throughput, rep.Latency.P50MS, rep.Latency.P99MS,
 		rep.Cluster.HitRateCombined*100, rep.Requests.Failed)
 	if trace.Sampled > 0 {
 		fmt.Fprintf(os.Stderr,

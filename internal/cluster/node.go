@@ -150,140 +150,182 @@ func (n *Node) OwnerOf(fp string) string { return n.ring.Owner(fp) }
 // Self returns this replica's base URL.
 func (n *Node) Self() string { return n.cfg.Self }
 
-// fetchResult is one peer fetch outcome on the hedge race.
-type fetchResult struct {
-	fill *service.RemoteFill
-	err  error
-	peer string
+// peerCall is what one exchange sends; everything else about the
+// round trip is shared.
+type peerCall struct {
+	method, path string
+	body         []byte // JSON request body (nil for GET)
+	limit        int64  // response size cap
+	requestID    string // X-Request-Id, when set
+	trace        string // obs.TraceHeader value, when set
 }
 
-// FetchArtifact implements service.RemoteFiller: resolve the
-// fingerprint's ring owner, fetch the artifact from it, and hedge a
-// cache-only probe to the next replica if the owner is slow. Only the
-// owner's fetch may trigger synthesis — the hedge can answer from its
-// cache but never start work, which is what keeps a cold key's
-// synthesis at exactly one fleet-wide.
+// exchange is the one decoded request/response round trip this package
+// makes with a peer, and the one place a peer's health is judged:
+//
+//	open circuit                        rejected locally, no answer
+//	transport or read error, 5xx        breaker failure, no answer
+//	200 that fails decode (garbage)     breaker failure, no answer
+//	200 that decodes                    breaker success, the answer
+//	any other status (4xx)              breaker success, no answer
+//
+// Every call carries the forwarded marker, so the peer answers strictly
+// locally and never calls back into the fleet. decode holds each call
+// site's validation (fingerprint, found, trace ID). "No answer" is a
+// non-nil error, and every caller degrades on it the same way: fill
+// locally, report a miss, contribute no spans, serve locally.
+func exchange[T any](ctx context.Context, n *Node, ps *peerState, c peerCall, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	if !ps.breaker.Allow() {
+		n.count("cluster_breaker_rejects", "peer calls rejected by an open circuit", "peer", ps.url)
+		return zero, fmt.Errorf("cluster: circuit open for %s", ps.url)
+	}
+	var body io.Reader
+	if c.body != nil {
+		body = bytes.NewReader(c.body)
+	}
+	var out []byte
+	var resp *http.Response
+	hr, err := http.NewRequestWithContext(ctx, c.method, ps.url+c.path, body)
+	if err == nil {
+		if c.body != nil {
+			hr.Header.Set("Content-Type", "application/json")
+		}
+		hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
+		if c.requestID != "" {
+			hr.Header.Set("X-Request-Id", c.requestID)
+		}
+		if c.trace != "" {
+			hr.Header.Set(obs.TraceHeader, c.trace)
+		}
+		if resp, err = n.cfg.Client.Do(hr); err == nil {
+			out, err = io.ReadAll(io.LimitReader(resp.Body, c.limit))
+			resp.Body.Close()
+		}
+	}
+	var v T
+	switch {
+	case err != nil:
+	case resp.StatusCode == http.StatusOK:
+		v, err = decode(out)
+	case resp.StatusCode >= 500:
+		err = fmt.Errorf("answered %d", resp.StatusCode)
+	default:
+		ps.breaker.Success()
+		return zero, fmt.Errorf("cluster: %s answered %d: %s", ps.url, resp.StatusCode, bytes.TrimSpace(out))
+	}
+	if err != nil {
+		ps.breaker.Failure()
+		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.logf("peer exchange failed", "peer", ps.url, "path", c.path, "err", err.Error())
+		return zero, fmt.Errorf("cluster: %s %s: %w", ps.url, c.path, err)
+	}
+	ps.breaker.Success()
+	return v, nil
+}
+
+// leg is one side of a hedge race: an answer, or an error for none.
+type leg[T any] func(context.Context) (T, error)
+
+// hedge is the one hedge race, shared by artifact fills and memo
+// probes. The primary leg starts at once; the second starts after
+// delay, or as soon as the primary comes back with no answer, whichever
+// is first (a negative delay or a nil second leg disables it). The
+// first answer wins; if both legs come back empty, the primary's error
+// is returned. Losing legs are cancelled through ctx by the caller.
+func hedge[T any](ctx context.Context, delay time.Duration, primary, second leg[T]) (T, error) {
+	type result struct {
+		v      T
+		err    error
+		second bool
+	}
+	results := make(chan result, 2)
+	run := func(l leg[T], isSecond bool) {
+		v, err := l(ctx)
+		results <- result{v, err, isSecond}
+	}
+	go run(primary, false)
+	pending := 1
+	var timer *time.Timer
+	if second != nil && delay >= 0 {
+		timer = time.AfterFunc(delay, func() { run(second, true) })
+		defer timer.Stop()
+		pending = 2
+	}
+	var primaryErr error
+	for ; pending > 0; pending-- {
+		r := <-results
+		if r.err == nil {
+			return r.v, nil
+		}
+		if !r.second {
+			primaryErr = r.err
+			if timer != nil && timer.Stop() {
+				go run(second, true)
+			}
+		}
+	}
+	var zero T
+	return zero, primaryErr
+}
+
+// FetchArtifact implements service.RemoteFiller: fetch the artifact from
+// the fingerprint's ring owner, hedged with a cache-only probe of the
+// next replica. Only the owner's leg may trigger synthesis — the hedge
+// can answer from its cache but never start work, which is what keeps a
+// cold key's synthesis at exactly one fleet-wide. Any error makes the
+// caller fill locally.
 func (n *Node) FetchArtifact(ctx context.Context, req service.FillRequest) (*service.RemoteFill, error) {
 	owners := n.ring.Owners(req.Fingerprint, 2)
-	if len(owners) == 0 || owners[0] == n.cfg.Self {
+	if len(owners) == 0 || n.peer[owners[0]] == nil {
 		// We own the key (or there is no fleet): synthesize locally.
 		return nil, service.ErrLocalFill
 	}
 	primary := n.peer[owners[0]]
-	if primary == nil {
-		return nil, service.ErrLocalFill
-	}
-	if !primary.breaker.Allow() {
-		n.count("cluster_breaker_rejects", "peer calls rejected by an open circuit", "peer", primary.url)
-		n.logf("peer circuit open, filling locally", "peer", primary.url, "fingerprint", req.Fingerprint)
-		return nil, fmt.Errorf("cluster: circuit open for owner %s", primary.url)
-	}
-
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
 	defer cancel()
-	results := make(chan fetchResult, 2)
 	n.count("cluster_fills_remote", "artifact fills requested from remote owners")
-	go func() {
-		fill, err := n.fetchFrom(ctx, primary, req, false)
-		results <- fetchResult{fill, err, primary.url}
-	}()
-
-	// Hedge: after the delay, probe the next distinct replica's cache.
-	// A miss there is a clean "no", never a second synthesis.
-	var hedgeTimer *time.Timer
-	inflight := 1
-	if n.cfg.HedgeDelay > 0 && len(owners) > 1 && owners[1] != n.cfg.Self {
-		if hedge := n.peer[owners[1]]; hedge != nil {
-			hedgeTimer = time.AfterFunc(n.cfg.HedgeDelay, func() {
-				if !hedge.breaker.Allow() {
-					results <- fetchResult{nil, fmt.Errorf("cluster: circuit open for hedge %s", hedge.url), hedge.url}
-					return
-				}
-				n.count("cluster_hedges", "hedged cache-only probes issued")
-				hreq := req
-				hreq.CacheOnly = true
-				fill, err := n.fetchFrom(ctx, hedge, hreq, true)
-				results <- fetchResult{fill, err, hedge.url}
-			})
-			inflight = 2
+	var second leg[*service.RemoteFill]
+	if len(owners) > 1 && n.peer[owners[1]] != nil {
+		second = func(ctx context.Context) (*service.RemoteFill, error) {
+			n.count("cluster_hedges", "hedged cache-only probes issued")
+			hreq := req
+			hreq.CacheOnly = true
+			return n.fill(ctx, n.peer[owners[1]], hreq)
 		}
 	}
-	defer func() {
-		if hedgeTimer != nil && hedgeTimer.Stop() {
-			inflight-- // the probe never launched; don't wait for it
-		}
-	}()
-
-	var firstErr error
-	for i := 0; i < inflight; i++ {
-		select {
-		case res := <-results:
-			if res.err == nil {
-				if res.peer != primary.url {
-					n.count("cluster_hedge_wins", "hedged probes that answered first")
-				}
-				return res.fill, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if hedgeTimer != nil && res.peer == primary.url && hedgeTimer.Stop() {
-				inflight-- // primary already failed; no point launching the probe late
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	fill, err := hedge(ctx, n.cfg.HedgeDelay, func(ctx context.Context) (*service.RemoteFill, error) {
+		return n.fill(ctx, primary, req)
+	}, second)
+	if err != nil {
+		return nil, err
 	}
-	return nil, firstErr
+	if fill.Peer != primary.url {
+		n.count("cluster_hedge_wins", "hedged probes that answered first")
+	}
+	n.count("cluster_peer_hits", "cache misses answered by a peer artifact")
+	return fill, nil
 }
 
-// fetchFrom performs one POST /v1/artifact exchange with a peer,
-// recording the outcome on its breaker. cacheOnly misses (404) are a
-// healthy "not cached", not a peer failure.
-func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillRequest, cacheOnly bool) (*service.RemoteFill, error) {
-	req.CacheOnly = cacheOnly
+// fill is one POST /v1/artifact exchange. An artifact for any other
+// fingerprint than the one asked for is a bad answer, like garbage.
+func (n *Node) fill(ctx context.Context, ps *peerState, req service.FillRequest) (*service.RemoteFill, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.url+"/v1/artifact", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	if req.RequestID != "" {
-		hr.Header.Set("X-Request-Id", req.RequestID)
-	}
-	if req.TraceParent != "" {
-		// Both legs of the hedge carry the fill span's context: whichever
-		// peer answers, its request span lands in the same fleet trace.
-		hr.Header.Set(obs.TraceHeader, req.TraceParent)
-	}
-	resp, err := n.cfg.Client.Do(hr)
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		n.logf("peer fetch failed", "peer", ps.url, "err", err.Error())
-		return nil, fmt.Errorf("cluster: fetch from %s: %w", ps.url, err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes))
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return nil, fmt.Errorf("cluster: fetch from %s: %w", ps.url, err)
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
+	// Both legs carry the fill span's context: whichever peer answers,
+	// its request span lands in the same fleet trace.
+	c := peerCall{method: http.MethodPost, path: "/v1/artifact", body: body,
+		limit: maxArtifactBytes, requestID: req.RequestID, trace: req.TraceParent}
+	return exchange(ctx, n, ps, c, func(out []byte) (*service.RemoteFill, error) {
 		var art service.ArtifactResponse
 		if err := json.Unmarshal(out, &art); err != nil {
-			return nil, fmt.Errorf("cluster: bad artifact from %s: %w", ps.url, err)
+			return nil, err
 		}
 		if art.Fingerprint != req.Fingerprint {
-			return nil, fmt.Errorf("cluster: %s answered fingerprint %s for %s", ps.url, art.Fingerprint, req.Fingerprint)
+			return nil, fmt.Errorf("answered fingerprint %s for %s", art.Fingerprint, req.Fingerprint)
 		}
-		n.count("cluster_peer_hits", "cache misses answered by a peer artifact")
 		return &service.RemoteFill{
 			Text:          art.Library,
 			Partial:       art.Partial,
@@ -292,19 +334,11 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 			Resynthesized: art.Resynthesized,
 			Peer:          ps.url,
 		}, nil
-	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return nil, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
-	default:
-		// 4xx: the peer is healthy but cannot help (cache-only miss,
-		// config-skew conflict). Not a breaker event.
-		ps.breaker.Success()
-		return nil, fmt.Errorf("cluster: %s answered %d: %s", ps.url, resp.StatusCode, bytes.TrimSpace(out))
-	}
+	})
 }
 
-// maxArtifactBytes bounds an artifact response read from a peer.
+// maxArtifactBytes bounds an artifact (or forwarded select) response
+// read from a peer.
 const maxArtifactBytes = 64 << 20
 
 // memoProbeTimeout bounds one solver-memo probe: a probe is two map
@@ -316,27 +350,14 @@ const memoProbeTimeout = 2 * time.Second
 // maxMemoBytes bounds a solver-query response read from a peer.
 const maxMemoBytes = 1 << 20
 
-// memoResult is one peer memo-probe outcome on the hedge race.
-type memoResult struct {
-	entry smt.MemoEntry
-	ok    bool
-	err   error
-	peer  string
-}
-
 // ProbeMemo implements service.MemoProber: ask the memo key's ring
-// owner whether it holds a verdict, hedging to the next distinct
-// replica after HedgeDelay (or immediately once the owner answers
-// empty). Every leg is cache-only by construction — the request carries
-// the forwarded marker, so the peer answers strictly from its local
-// memo and a fleet-wide miss costs a few map lookups, never a solve.
+// owner whether it holds a verdict, hedged to the next distinct replica.
+// Every leg is cache-only by construction — the request carries the
+// forwarded marker, so the peer answers strictly from its local memo
+// and a fleet-wide miss costs a few map lookups, never a solve.
 func (n *Node) ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool) {
-	owners := n.ring.Owners(key, 2)
 	var targets []*peerState
-	for _, o := range owners {
-		if o == n.cfg.Self {
-			continue
-		}
+	for _, o := range n.ring.Owners(key, 2) {
 		if ps := n.peer[o]; ps != nil {
 			targets = append(targets, ps)
 		}
@@ -345,8 +366,7 @@ func (n *Node) ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool) 
 		return smt.MemoEntry{}, false
 	}
 	// A sampled API query's probes join its fleet trace: the probe span
-	// parents under the request span and its context rides each leg's
-	// X-Iseld-Trace header.
+	// parents under the request span and its context rides each leg.
 	var psp *obs.Span
 	if tr := n.cfg.Obs.TracerOrNil(); tr != nil {
 		if tc, ok := service.TraceContextFrom(ctx); ok {
@@ -355,102 +375,41 @@ func (n *Node) ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool) 
 			psp = tr.Start("memo probe")
 		}
 	}
-	traceHdr := ""
-	if pc := psp.Context(); pc.Valid() {
-		traceHdr = pc.Header()
-	}
 	defer psp.End()
+	c := peerCall{method: http.MethodGet, path: "/v1/solver/query?key=" + url.QueryEscape(key), limit: maxMemoBytes}
+	if pc := psp.Context(); pc.Valid() {
+		c.trace = pc.Header()
+	}
+	probe := func(ps *peerState) leg[smt.MemoEntry] {
+		return func(ctx context.Context) (smt.MemoEntry, error) {
+			n.count("cluster_memo_probes", "cache-only solver verdict probes sent to peers")
+			return exchange(ctx, n, ps, c, func(out []byte) (smt.MemoEntry, error) {
+				var qr service.SolverQueryResponse
+				if err := json.Unmarshal(out, &qr); err != nil {
+					return smt.MemoEntry{}, err
+				}
+				if !qr.Found || qr.Entry == nil || qr.Key != key {
+					return smt.MemoEntry{}, fmt.Errorf("200 without a verdict for %s", key)
+				}
+				return *qr.Entry, nil
+			})
+		}
+	}
+	var second leg[smt.MemoEntry]
+	if len(targets) > 1 {
+		second = func(ctx context.Context) (smt.MemoEntry, error) {
+			n.count("cluster_memo_hedges", "hedged memo probes issued")
+			return probe(targets[1])(ctx)
+		}
+	}
 	ctx, cancel := context.WithTimeout(ctx, memoProbeTimeout)
 	defer cancel()
-	results := make(chan memoResult, len(targets))
-	launch := func(ps *peerState) {
-		if !ps.breaker.Allow() {
-			results <- memoResult{err: fmt.Errorf("cluster: circuit open for %s", ps.url), peer: ps.url}
-			return
-		}
-		n.count("cluster_memo_probes", "cache-only solver verdict probes sent to peers")
-		e, ok, err := n.probeMemoFrom(ctx, ps, key, traceHdr)
-		results <- memoResult{e, ok, err, ps.url}
-	}
-	go launch(targets[0])
-	inflight := 1
-	var hedgeTimer *time.Timer
-	if n.cfg.HedgeDelay > 0 && len(targets) > 1 {
-		second := targets[1]
-		hedgeTimer = time.AfterFunc(n.cfg.HedgeDelay, func() {
-			n.count("cluster_memo_hedges", "hedged memo probes issued")
-			launch(second)
-		})
-		inflight = 2
-	}
-	defer func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-	}()
-	for i := 0; i < inflight; i++ {
-		select {
-		case res := <-results:
-			if res.err == nil && res.ok {
-				n.count("cluster_memo_hits", "peer memo probes that returned a verdict")
-				return res.entry, true
-			}
-			// The owner came up empty (miss or failure): if the hedge has
-			// not launched yet, launch it now rather than waiting out the
-			// delay — the second replica is the only remaining chance.
-			if hedgeTimer != nil && res.peer == targets[0].url && hedgeTimer.Stop() {
-				go launch(targets[1])
-			}
-		case <-ctx.Done():
-			return smt.MemoEntry{}, false
-		}
-	}
-	return smt.MemoEntry{}, false
-}
-
-// probeMemoFrom performs one GET /v1/solver/query exchange with a peer,
-// recording the outcome on its breaker. A 404 is a healthy "no verdict
-// here", not a peer failure.
-func (n *Node) probeMemoFrom(ctx context.Context, ps *peerState, key, traceHdr string) (smt.MemoEntry, bool, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ps.url+"/v1/solver/query?key="+url.QueryEscape(key), nil)
+	e, err := hedge(ctx, n.cfg.HedgeDelay, probe(targets[0]), second)
 	if err != nil {
-		return smt.MemoEntry{}, false, err
+		return smt.MemoEntry{}, false
 	}
-	hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
-	if traceHdr != "" {
-		hr.Header.Set(obs.TraceHeader, traceHdr)
-	}
-	resp, err := n.cfg.Client.Do(hr)
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return smt.MemoEntry{}, false, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, maxMemoBytes))
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return smt.MemoEntry{}, false, err
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
-		var qr service.SolverQueryResponse
-		if err := json.Unmarshal(out, &qr); err != nil || !qr.Found || qr.Entry == nil {
-			return smt.MemoEntry{}, false, fmt.Errorf("cluster: bad solver answer from %s", ps.url)
-		}
-		return *qr.Entry, true, nil
-	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return smt.MemoEntry{}, false, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
-	default:
-		// 4xx: the peer is healthy but holds no verdict for the key.
-		ps.breaker.Success()
-		return smt.MemoEntry{}, false, nil
-	}
+	n.count("cluster_memo_hits", "peer memo probes that returned a verdict")
+	return e, true
 }
 
 // traceCollectTimeout bounds one peer span-ring read: a bounded-ring
@@ -462,87 +421,36 @@ const traceCollectTimeout = 2 * time.Second
 const maxTraceBytes = 8 << 20
 
 // CollectTraceSpans implements service.TraceCollector: ask every peer
-// for its locally recorded spans of one trace. Each query carries the
-// forwarded marker, so peers answer strictly from their own span rings
-// (cache-only, loop-free) and a missing or broken peer just contributes
-// nothing — assembly is best-effort by design, exactly like the
-// degradation story everywhere else in this layer.
+// for its locally recorded spans of one trace. Peers answer strictly
+// from their own span rings (cache-only, loop-free), and a peer with no
+// answer just contributes nothing — assembly is best-effort, exactly
+// like the degradation story everywhere else in this layer.
 func (n *Node) CollectTraceSpans(ctx context.Context, traceID string) []obs.TraceSpan {
-	var out []obs.TraceSpan
 	ctx, cancel := context.WithTimeout(ctx, traceCollectTimeout)
 	defer cancel()
-	type peerSpans struct {
-		spans []obs.TraceSpan
-		err   error
-		peer  string
-	}
-	results := make(chan peerSpans, len(n.peer))
-	queried := 0
+	n.count("cluster_trace_collects", "fleet trace-assembly fan-outs")
+	c := peerCall{method: http.MethodGet, path: "/v1/trace/" + traceID, limit: maxTraceBytes}
+	results := make(chan []obs.TraceSpan, len(n.peer))
 	for _, ps := range n.peer {
-		if !ps.breaker.Allow() {
-			continue
-		}
-		queried++
 		go func(ps *peerState) {
-			spans, err := n.collectFrom(ctx, ps, traceID)
-			results <- peerSpans{spans, err, ps.url}
+			spans, _ := exchange(ctx, n, ps, c, func(out []byte) ([]obs.TraceSpan, error) {
+				var tr service.TraceSpansResponse
+				if err := json.Unmarshal(out, &tr); err != nil {
+					return nil, err
+				}
+				if tr.TraceID != traceID {
+					return nil, fmt.Errorf("answered trace %s for %s", tr.TraceID, traceID)
+				}
+				return tr.Spans, nil
+			})
+			results <- spans
 		}(ps)
 	}
-	n.count("cluster_trace_collects", "fleet trace-assembly fan-outs")
-	for i := 0; i < queried; i++ {
-		select {
-		case res := <-results:
-			if res.err != nil {
-				n.logf("trace collect failed", "peer", res.peer, "err", res.err.Error())
-				continue
-			}
-			out = append(out, res.spans...)
-		case <-ctx.Done():
-			return out
-		}
+	var out []obs.TraceSpan
+	for range n.peer {
+		out = append(out, <-results...)
 	}
 	return out
-}
-
-// collectFrom performs one GET /v1/trace/{id} exchange with a peer,
-// recording the outcome on its breaker. An empty span set is a healthy
-// "nothing recorded here", not a peer failure.
-func (n *Node) collectFrom(ctx context.Context, ps *peerState, traceID string) ([]obs.TraceSpan, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, ps.url+"/v1/trace/"+traceID, nil)
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
-	resp, err := n.cfg.Client.Do(hr)
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceBytes))
-	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return nil, err
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
-		var tr service.TraceSpansResponse
-		if err := json.Unmarshal(out, &tr); err != nil {
-			return nil, fmt.Errorf("cluster: bad trace spans from %s: %w", ps.url, err)
-		}
-		return tr.Spans, nil
-	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-		return nil, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
-	default:
-		// 4xx: the peer is healthy but has no tracer (or no such trace).
-		ps.breaker.Success()
-		return nil, nil
-	}
 }
 
 func (n *Node) logf(msg string, args ...any) {
@@ -605,20 +513,20 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(st)
 }
 
-// forwardHeader marks an already-forwarded request; a request carrying
-// it is always served locally, so two skewed ring views cannot bounce a
-// request between replicas forever.
-const forwardHeader = "X-Iseld-Forwarded"
-
 // maxForwardBytes bounds the request body a forwarder buffers.
 const maxForwardBytes = 8 << 20
 
-// forwarder proxies select requests to the owning replica, falling back
-// to the local handler when the owner is this node, unreachable, or
-// circuit-broken.
+// forwarder proxies select requests to the owning replica through the
+// same exchange as every other peer call, bounded by FetchTimeout. The
+// owner's answer is relayed only once it has fully arrived and parses as
+// JSON; any request with no answer — owner is this node, circuit open,
+// transport error, 5xx, garbage or truncated 200, 4xx — is served
+// locally from the buffered body. A request that already carries the
+// forwarded marker is always served locally, so two skewed ring views
+// cannot bounce a request between replicas forever.
 func (n *Node) forwarder(local http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(forwardHeader) != "" {
+		if r.Header.Get(service.ForwardedHeader) != "" {
 			local.ServeHTTP(w, r)
 			return
 		}
@@ -627,7 +535,6 @@ func (n *Node) forwarder(local http.Handler) http.Handler {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
 		serveLocal := func() {
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			local.ServeHTTP(w, r)
@@ -645,26 +552,10 @@ func (n *Node) forwarder(local http.Handler) http.Handler {
 			serveLocal()
 			return
 		}
-		owner := n.ring.Owner(fp)
-		if owner == "" || owner == n.cfg.Self {
+		ps := n.peer[n.ring.Owner(fp)]
+		if ps == nil { // this node owns the key
 			serveLocal()
 			return
-		}
-		ps := n.peer[owner]
-		if ps == nil || !ps.breaker.Allow() {
-			n.count("cluster_forward_local", "forwards degraded to local service")
-			serveLocal()
-			return
-		}
-		hr, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+r.URL.Path, bytes.NewReader(body))
-		if err != nil {
-			serveLocal()
-			return
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		hr.Header.Set(forwardHeader, n.cfg.Self)
-		if rid := service.RequestIDFrom(r.Context()); rid != "" {
-			hr.Header.Set("X-Request-Id", rid)
 		}
 		// The hop joins the sender-side trace: a "cluster forward" span
 		// parents under the request span, and its context rides the proxied
@@ -677,32 +568,31 @@ func (n *Node) forwarder(local http.Handler) http.Handler {
 				fsp = tr.Start("cluster forward")
 			}
 		}
-		fsp.SetStr("peer", owner)
+		fsp.SetStr("peer", ps.url)
+		c := peerCall{method: http.MethodPost, path: r.URL.Path, body: body,
+			limit: maxArtifactBytes, requestID: service.RequestIDFrom(r.Context())}
 		if fc := fsp.Context(); fc.Valid() {
-			hr.Header.Set(obs.TraceHeader, fc.Header())
+			c.trace = fc.Header()
 		}
-		resp, err := n.cfg.Client.Do(hr)
+		ctx, cancel := context.WithTimeout(r.Context(), n.cfg.FetchTimeout)
+		defer cancel()
+		out, err := exchange(ctx, n, ps, c, func(out []byte) ([]byte, error) {
+			if !json.Valid(out) {
+				return nil, errors.New("answer is not JSON")
+			}
+			return out, nil
+		})
 		if err != nil {
-			ps.breaker.Failure()
-			n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
 			n.count("cluster_forward_local", "forwards degraded to local service")
-			n.logf("forward failed, serving locally", "peer", owner, "err", err.Error())
 			fsp.SetStr("outcome", "local").End()
 			serveLocal()
 			return
 		}
-		defer resp.Body.Close()
-		ps.breaker.Success()
 		n.count("cluster_forwarded", "select requests proxied to their ring owner")
-		fsp.SetInt("status", int64(resp.StatusCode)).End()
-		if rid := resp.Header.Get("X-Request-Id"); rid != "" {
-			w.Header().Set("X-Request-Id", rid)
-		}
-		w.Header().Set("X-Iseld-Forwarded-To", owner)
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		fsp.SetInt("status", http.StatusOK).End()
+		w.Header().Set("X-Iseld-Forwarded-To", ps.url)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(out)
 	})
 }

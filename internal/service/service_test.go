@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -319,13 +320,20 @@ func TestDiskLayer(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheDir = dir
 
-	_, ts1 := newTestServer(t, cfg)
+	sv1, ts1 := newTestServer(t, cfg)
 	req := SynthesizeRequest{Target: "mini", Spec: svcSpec}
 	status, body := postJSON(t, ts1.URL+"/v1/synthesize", req)
 	if status != http.StatusOK {
 		t.Fatalf("seed synthesis: status %d: %s", status, body)
 	}
 	first := decodeSynth(t, body)
+	// Disk persists are asynchronous: wait for the write, as a restart
+	// after a graceful shutdown would.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sv1.store.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	_, ts2 := newTestServer(t, cfg)
 	status, body = postJSON(t, ts2.URL+"/v1/synthesize", req)
