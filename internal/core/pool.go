@@ -230,7 +230,7 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, dur *time.Duration) []uin
 	}
 	t0 := time.Now()
 	if e.prog == nil {
-		e.prog = term.Compile(e.Effect.T)
+		e.prog = term.Compile(nil, e.Effect.T)
 	}
 	target := (k + digestBlock - 1) / digestBlock * digestBlock
 	if target > e.evalN {
@@ -243,12 +243,13 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, dur *time.Duration) []uin
 		raws[i] = ic.vecs(nameHash(v.Name))
 	}
 	vals := make([]bv.BV, len(pv))
+	regs := make([]bv.BV, p.NumRegs())
 	for j := len(e.evals); j < target; j++ {
 		for i := range pv {
 			r := raws[i][j]
 			vals[i] = bv.New128(pv[i].Width, r.Hi, r.Lo)
 		}
-		e.evals = append(e.evals, digest(p.Run(vals)))
+		e.evals = append(e.evals, digest(p.Run(vals, regs, nil)))
 	}
 	*dur += time.Since(t0)
 	return e.evals

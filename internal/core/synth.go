@@ -58,6 +58,7 @@ type worker struct {
 	// loop allocation-free, and the sampling counter for its timer.
 	probeBinds []probeBinding
 	probeVals  []bv.BV
+	probeRegs  []bv.BV
 	probeTick  uint64
 }
 
@@ -590,7 +591,7 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 
 	// Compile the pattern term once; the probe then evaluates it on each
 	// test vector with no per-evaluation allocation.
-	prog := term.Compile(tp)
+	prog := term.Compile(nil, tp)
 	leafSlot := resolveLeafSlots(prog, leaves)
 	asg := make([]int, len(leaves))
 
@@ -745,6 +746,10 @@ func (w *worker) probeRun(prog *term.Program, leafSlot []int, leaves []*pattern.
 	}
 	vals := w.probeVals[:nv]
 	clear(vals)
+	if cap(w.probeRegs) < prog.NumRegs() {
+		w.probeRegs = make([]bv.BV, prog.NumRegs())
+	}
+	regs := w.probeRegs[:prog.NumRegs()]
 	evals := entry.digestsUpTo(1, w.ic, evalDur)
 	checked := 0
 	for j := 0; j < entry.evalN; j++ {
@@ -776,7 +781,7 @@ func (w *worker) probeRun(prog *term.Program, leafSlot []int, leaves []*pattern.
 			continue
 		}
 		checked++
-		if digest(prog.Run(vals)) != evals[j] {
+		if digest(prog.Run(vals, regs, nil)) != evals[j] {
 			return false
 		}
 		if checked >= probeCap {

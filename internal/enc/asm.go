@@ -106,21 +106,6 @@ func (a *Assembler) refsPC(in *isa.Instruction) bool {
 	return ref
 }
 
-// adjust converts a value to an operand width the way the register file
-// does: truncate down, zero-extend up.
-func adjust(v bv.BV, w int) bv.BV {
-	switch {
-	case v.Width == 0:
-		return bv.Zero(w)
-	case v.W() == w:
-		return v
-	case v.W() < w:
-		return v.ZExt(w)
-	default:
-		return v.Trunc(w)
-	}
-}
-
 // refsVar reports whether the term references the named variable.
 func refsVar(t *term.Term, name string) bool {
 	for _, v := range t.Vars() {
@@ -400,7 +385,7 @@ func (a *Assembler) instOperands(in *mir.Inst, ic *InstCodec, addr uint64, block
 			}
 			ops.Imms[op.Name] = imm
 		case arg.IsImm:
-			ops.Imms[op.Name] = adjust(arg.Imm, op.Width)
+			ops.Imms[op.Name] = isa.Adjust(arg.Imm, op.Width)
 		default:
 			ops.Regs[op.Name] = int(arg.Reg)
 		}

@@ -5,16 +5,16 @@ import (
 
 	"iselgen/internal/bv"
 	"iselgen/internal/gmir"
+	"iselgen/internal/isa"
 	"iselgen/internal/spec"
-	"iselgen/internal/term"
 )
 
 // Emulator executes machine code at the byte level: fetch, decode
-// through the trie, bind the decoded fields to the instruction's
-// symbolic operand variables, and evaluate the very effect terms the
-// synthesis consumed. Where the MIR simulator trusts the instruction
-// stream, the emulator trusts only the bytes — which is what makes it
-// the far side of the round-trip oracle.
+// through the trie, fill the decoded fields into the instruction's
+// operand slots, and run the step core (isa.Instruction.Step) over the
+// very effect terms the synthesis consumed. Where the MIR simulator
+// trusts the instruction stream, the emulator trusts only the bytes —
+// which is what makes it the far side of the round-trip oracle.
 type Emulator struct {
 	Codec *Codec
 	Mem   *gmir.Memory
@@ -27,12 +27,8 @@ type EmuResult struct {
 	Ret    bv.BV
 	HasRet bool
 	Insts  int64
-	Flags  map[string]bv.BV
+	Flags  [4]bv.BV // spec.FlagNames order
 }
-
-type emuMem struct{ m *gmir.Memory }
-
-func (a emuMem) Load(addr uint64, bits int) bv.BV { return a.m.Load(addr, bits) }
 
 // Run executes an image with the given arguments until the PC reaches
 // the end of the code.
@@ -51,9 +47,9 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 	for i, p := range img.ParamRegs {
 		regs[p] = args[i]
 	}
-	flags := map[string]bv.BV{"N": bv.Zero(1), "Z": bv.Zero(1), "C": bv.Zero(1), "V": bv.Zero(1)}
+	res := EmuResult{Flags: isa.InitialFlags()}
+	var fr isa.Frame
 
-	res := EmuResult{}
 	pc := img.Base
 	end := img.End()
 	for pc != end {
@@ -63,17 +59,16 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 		if res.Insts++; res.Insts > maxSteps {
 			return res, fmt.Errorf("enc: step limit exceeded at pc %#x", pc)
 		}
-		ic, ops, size, err := e.Codec.DecodeAt(img.Code, int(pc-img.Base))
+		ic, ops, _, err := e.Codec.DecodeAt(img.Code, int(pc-img.Base))
 		if err != nil {
 			return res, fmt.Errorf("enc: fetch at pc %#x: %w", pc, err)
 		}
-		nextPC, err := e.step(ic, ops, regs, flags, pc, uint64(size))
+		nextPC, err := e.step(ic.Inst, ops, regs, &res.Flags, &fr, pc)
 		if err != nil {
 			return res, fmt.Errorf("enc: pc %#x (%s): %w", pc, ic.Inst.Name, err)
 		}
 		pc = nextPC
 	}
-	res.Flags = flags
 	if img.RetReg >= 0 {
 		res.Ret = regs[img.RetReg]
 		res.HasRet = true
@@ -81,54 +76,26 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 	return res, nil
 }
 
-// step executes one decoded instruction and returns the next PC.
-func (e *Emulator) step(ic *InstCodec, ops Operands, regs []bv.BV, flags map[string]bv.BV, pc, size uint64) (uint64, error) {
-	in := ic.Inst
-	env := term.NewEnv()
-	env.Mem = emuMem{e.Mem}
-	for _, op := range in.Operands {
-		name := in.Name + "." + op.Name
+// step executes one decoded instruction through the step core and
+// returns the next PC.
+func (e *Emulator) step(in *isa.Instruction, ops Operands, regs []bv.BV, flags *[4]bv.BV, fr *isa.Frame, pc uint64) (uint64, error) {
+	return in.Step(fr, flags, pc, e.Mem, func(_ int, op *spec.Operand) bv.BV {
 		if op.Kind == spec.OpImm {
-			env.Bind(name, ops.Imms[op.Name])
-		} else {
-			env.Bind(name, adjust(regs[ops.Regs[op.Name]], op.Width))
+			return ops.Imms[op.Name]
 		}
-	}
-	for _, fn := range spec.FlagNames {
-		env.Bind(in.Name+"."+fn, flags[fn])
-	}
-	env.Bind(in.Name+".pc", bv.New(64, pc))
-
-	next := pc + size
-	for _, eff := range in.Effects {
-		switch eff.Kind {
-		case spec.EffReg:
-			dst := ops.Rd
-			if eff.Dest == "rd2" {
-				dst = ops.Rd2
-			}
-			if dst < 0 {
-				return 0, fmt.Errorf("no %s field", eff.Dest)
-			}
-			regs[dst] = eff.T.Eval(env)
-		case spec.EffWB:
-			dst, ok := ops.Regs[eff.Dest]
-			if !ok {
-				return 0, fmt.Errorf("write-back to unknown operand %s", eff.Dest)
-			}
-			regs[dst] = eff.T.Eval(env)
-		case spec.EffFlag:
-			flags[eff.Dest] = eff.T.Eval(env)
-		case spec.EffMem:
-			addr := eff.T.Args[0].Eval(env)
-			val := eff.T.Args[1].Eval(env)
-			e.Mem.Store(addr.Uint64(), val, int(eff.T.Aux0))
-		case spec.EffPC:
-			// The effect term already folds the not-taken arm (pc plus
-			// the encoding-derived size), so evaluating it concretely
-			// decides taken-ness with no displacement probing.
-			next = eff.T.Eval(env).Uint64()
+		return regs[ops.Regs[op.Name]]
+	}, func(_ int, eff *spec.Effect, v bv.BV) error {
+		dst, ok := ops.Rd, true
+		switch {
+		case eff.Kind == spec.EffWB:
+			dst, ok = ops.Regs[eff.Dest]
+		case eff.Dest == "rd2":
+			dst = ops.Rd2
 		}
-	}
-	return next, nil
+		if !ok || dst < 0 {
+			return fmt.Errorf("no register field for %s", eff.Dest)
+		}
+		regs[dst] = v
+		return nil
+	})
 }

@@ -154,6 +154,10 @@ func CheckEncode(pl *Pipeline, p *Prog, vectors [][]bv.BV) (err error) {
 			return fmt.Errorf("%s: result mismatch on vector %d %s: sim=%s emu=%s",
 				used, i, fmtArgs(args), sres.Ret, eres.Ret)
 		}
+		if sres.Flags != eres.Flags {
+			return fmt.Errorf("%s: vector %d %s: sim flags %v, emu flags %v",
+				used, i, fmtArgs(args), sres.Flags, eres.Flags)
+		}
 		if !memEqual(simMem.Snapshot(), emuMem.Snapshot()) {
 			return fmt.Errorf("%s: final memory mismatch on vector %d %s", used, i, fmtArgs(args))
 		}

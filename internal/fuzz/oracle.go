@@ -116,7 +116,7 @@ func CheckProg(pl *Pipeline, p *Prog, vectors [][]bv.BV) (err error) {
 			if serr2 != nil {
 				return fmt.Errorf("%s: sim rerun: %w", usedBackend, serr2)
 			}
-			if res2.Ret != res.Ret || res2.Cycles != res.Cycles || !flagsEqual(res.Flags, res2.Flags) {
+			if res2.Ret != res.Ret || res2.Cycles != res.Cycles || res2.Flags != res.Flags {
 				return fmt.Errorf("%s: nondeterministic simulation (ret %s vs %s, cycles %d vs %d, flags %v vs %v)",
 					usedBackend, res.Ret, res2.Ret, res.Cycles, res2.Cycles, res.Flags, res2.Flags)
 			}
@@ -137,18 +137,6 @@ func fmtArgs(args []bv.BV) string {
 }
 
 func memEqual(a, b map[uint64]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func flagsEqual(a, b map[string]bv.BV) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -13,6 +13,7 @@ package isa
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"iselgen/internal/bv"
 	"iselgen/internal/obs"
@@ -37,6 +38,8 @@ type Instruction struct {
 	// SignedImms marks immediate operands consumed under sext in the
 	// semantics; disassembly renders them as signed. Nil when Enc is nil.
 	SignedImms map[string]bool
+
+	prog atomic.Pointer[term.Program] // Step's compiled effects, built on first use
 }
 
 // NumInputs returns the operand count — the unit of the paper's cost
@@ -170,15 +173,7 @@ func Single(b *term.Builder, inst *Instruction) *Sequence {
 
 // seqVar returns the renamed variable for instruction position idx.
 func seqVar(b *term.Builder, idx int, op spec.Operand) *term.Term {
-	var kind term.VarKind
-	switch op.Kind {
-	case spec.OpReg:
-		kind = term.KindReg
-	case spec.OpVec:
-		kind = term.KindVecReg
-	default:
-		kind = term.KindImm
-	}
+	kind := varKind(op)
 	tag := "r"
 	switch kind {
 	case term.KindVecReg:

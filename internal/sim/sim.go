@@ -13,9 +13,9 @@ import (
 	"iselgen/internal/bv"
 	"iselgen/internal/cost"
 	"iselgen/internal/gmir"
+	"iselgen/internal/isa"
 	"iselgen/internal/mir"
 	"iselgen/internal/spec"
-	"iselgen/internal/term"
 )
 
 // Result reports one execution.
@@ -24,10 +24,10 @@ type Result struct {
 	HasRet bool
 	Cycles int64
 	Insts  int64
-	// Flags is the final condition-flag state (N/Z/C/V), exposed so
-	// differential harnesses can assert run-to-run determinism of the
-	// effect evaluation, not just the returned value.
-	Flags map[string]bv.BV
+	// Flags is the final condition-flag state in spec.FlagNames order,
+	// exposed so differential harnesses can assert run-to-run
+	// determinism of the effect evaluation, not just the returned value.
+	Flags [4]bv.BV
 }
 
 // Machine executes machine functions.
@@ -42,25 +42,15 @@ type Machine struct {
 	Model *cost.Table
 }
 
-type memAdapter struct{ m *gmir.Memory }
-
-func (a memAdapter) Load(addr uint64, bits int) bv.BV { return a.m.Load(addr, bits) }
-
 // Adjust converts a register-file value to an operand width: the file
 // behaves like physical 64-bit registers, so narrower reads truncate and
 // wider reads zero-extend.
-func Adjust(v bv.BV, w int) bv.BV {
-	switch {
-	case v.Width == 0:
-		return bv.Zero(w) // never-written register
-	case v.W() == w:
-		return v
-	case v.W() < w:
-		return v.ZExt(w)
-	default:
-		return v.Trunc(w)
-	}
-}
+func Adjust(v bv.BV, w int) bv.BV { return isa.Adjust(v, w) }
+
+// pcBase is the nominal PC every instruction executes at: MIR has no
+// addresses, so a branch is taken exactly when its PC effect leaves
+// pcBase+size.
+const pcBase = 0x100000
 
 // Run executes f with the given arguments.
 func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
@@ -78,14 +68,14 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 	for i, p := range f.Params {
 		regs[p] = args[i]
 	}
-	flags := map[string]bv.BV{"N": bv.Zero(1), "Z": bv.Zero(1), "C": bv.Zero(1), "V": bv.Zero(1)}
+	res := Result{Flags: isa.InitialFlags()}
+	var fr isa.Frame
 
 	layout := map[int]int{} // block ID -> layout index
 	for i, b := range f.Blocks {
 		layout[b.ID] = i
 	}
 
-	res := Result{}
 	bi := 0
 	for bi < len(f.Blocks) {
 		blk := f.Blocks[bi]
@@ -108,13 +98,9 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 					res.Ret = regs[in.Args[0].Reg]
 					res.HasRet = true
 				}
-				res.Flags = map[string]bv.BV{}
-				for k, v := range flags {
-					res.Flags[k] = v
-				}
 				return res, nil
 			}
-			t, err := m.step(in, regs, flags)
+			t, err := m.step(in, regs, &res.Flags, &fr)
 			if err != nil {
 				return res, fmt.Errorf("sim: %s: %s: %w", f.Name, in, err)
 			}
@@ -136,8 +122,9 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 	return res, fmt.Errorf("sim: %s: fell off the end", f.Name)
 }
 
-// step executes one ISA instruction; reports whether a branch was taken.
-func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags map[string]bv.BV) (bool, error) {
+// step executes one ISA instruction through the step core, with the
+// branch label bound to 0; reports whether a branch was taken.
+func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags *[4]bv.BV, fr *isa.Frame) (bool, error) {
 	meta := in.Meta
 	if meta == nil {
 		return false, fmt.Errorf("unexpected pseudo")
@@ -145,66 +132,29 @@ func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags map[string]bv.BV) (bool
 	if len(in.Args) != len(meta.Operands) {
 		return false, fmt.Errorf("operand count %d, want %d", len(in.Args), len(meta.Operands))
 	}
-	env := term.NewEnv()
-	env.Mem = memAdapter{m.Mem}
-	labelImm := -1
-	for i, op := range meta.Operands {
-		name := meta.Name + "." + op.Name
-		a := in.Args[i]
-		if a.IsImm {
-			env.Bind(name, Adjust(a.Imm, op.Width))
-			if len(in.Succs) > 0 && op.Kind == spec.OpImm && labelImm < 0 {
-				labelImm = i
-			}
-		} else {
-			env.Bind(name, Adjust(regs[a.Reg], op.Width))
+	label := len(in.Succs) > 0 // a branch's first immediate is its label
+	next, err := meta.Step(fr, flags, pcBase, m.Mem, func(i int, op *spec.Operand) bv.BV {
+		switch a := in.Args[i]; {
+		case !a.IsImm:
+			return regs[a.Reg]
+		case label && op.Kind == spec.OpImm:
+			label = false
+			return bv.Zero(op.Width)
+		default:
+			return Adjust(a.Imm, op.Width)
 		}
-	}
-	for _, fn := range spec.FlagNames {
-		env.Bind(meta.Name+"."+fn, flags[fn])
-	}
-	const pcBase = 0x100000
-	env.Bind(meta.Name+".pc", bv.New(64, pcBase))
-
-	branchTaken := false
-	dstIdx := 0
-	for _, e := range meta.Effects {
-		switch e.Kind {
-		case spec.EffReg, spec.EffWB:
-			if dstIdx >= len(in.Dsts) {
-				return false, fmt.Errorf("missing destination register for %s effect", e.Kind)
-			}
-			regs[in.Dsts[dstIdx]] = e.T.Eval(env)
-			dstIdx++
-		case spec.EffFlag:
-			flags[e.Dest] = e.T.Eval(env)
-		case spec.EffMem:
-			addr := e.T.Args[0].Eval(env)
-			val := e.T.Args[1].Eval(env)
-			m.Mem.Store(addr.Uint64(), val, int(e.T.Aux0))
-		case spec.EffPC:
-			// Decide taken-ness by displacement sensitivity: evaluate the
-			// PC effect under two label values; if the results differ the
-			// target depends on the displacement (branch taken); if both
-			// equal fall-through (pc+4), the branch is not taken.
-			if len(in.Succs) == 0 {
-				return false, fmt.Errorf("PC effect without successor")
-			}
-			if labelImm < 0 {
-				return false, fmt.Errorf("branch without label immediate")
-			}
-			labelName := meta.Name + "." + meta.Operands[labelImm].Name
-			labelW := meta.Operands[labelImm].Width
-			env.Bind(labelName, bv.New(labelW, 2))
-			r1 := e.T.Eval(env)
-			env.Bind(labelName, bv.New(labelW, 3))
-			r2 := e.T.Eval(env)
-			if r1 != r2 {
-				branchTaken = true
-			} else if r1.Lo != pcBase+uint64(in.Size()) {
-				branchTaken = true // displacement-independent jump (e.g. JALR)
-			}
+	}, func(k int, e *spec.Effect, v bv.BV) error {
+		if k >= len(in.Dsts) {
+			return fmt.Errorf("missing destination register for %s effect", e.Kind)
 		}
+		regs[in.Dsts[k]] = v
+		return nil
+	})
+	if err != nil || next == pcBase+uint64(meta.Size) {
+		return false, err
 	}
-	return branchTaken, nil
+	if len(in.Succs) == 0 {
+		return false, fmt.Errorf("PC effect without successor")
+	}
+	return true, nil
 }

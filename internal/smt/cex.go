@@ -277,10 +277,11 @@ func (c *CexCache) Refuting(goals [][2]*term.Term) (map[string]bv.BV, bool) {
 		if g[0] == g[1] {
 			continue
 		}
-		lp, rp := term.Compile(g[0]), term.Compile(g[1])
+		lp, rp := term.Compile(nil, g[0]), term.Compile(nil, g[1])
 		lv, rv := lp.Vars(), rp.Vars()
 		lvals := make([]bv.BV, len(lv))
 		rvals := make([]bv.BV, len(rv))
+		lregs, rregs := make([]bv.BV, lp.NumRegs()), make([]bv.BV, rp.NumRegs())
 		for _, a := range cexes {
 			for i, v := range lv {
 				lvals[i] = a.value(v.Name, v.Width)
@@ -288,7 +289,7 @@ func (c *CexCache) Refuting(goals [][2]*term.Term) (map[string]bv.BV, bool) {
 			for i, v := range rv {
 				rvals[i] = a.value(v.Name, v.Width)
 			}
-			if lp.Run(lvals) != rp.Run(rvals) {
+			if lp.Run(lvals, lregs, nil) != rp.Run(rvals, rregs, nil) {
 				c.hits.Add(1)
 				return a.Vals, true
 			}
@@ -308,17 +309,18 @@ func assignmentRefutes(vals map[string]bv.BV, goals [][2]*term.Term) bool {
 		if g[0] == g[1] {
 			continue
 		}
-		lp, rp := term.Compile(g[0]), term.Compile(g[1])
+		lp, rp := term.Compile(nil, g[0]), term.Compile(nil, g[1])
 		lv, rv := lp.Vars(), rp.Vars()
 		lvals := make([]bv.BV, len(lv))
 		rvals := make([]bv.BV, len(rv))
+		lregs, rregs := make([]bv.BV, lp.NumRegs()), make([]bv.BV, rp.NumRegs())
 		for i, v := range lv {
 			lvals[i] = a.value(v.Name, v.Width)
 		}
 		for i, v := range rv {
 			rvals[i] = a.value(v.Name, v.Width)
 		}
-		if lp.Run(lvals) != rp.Run(rvals) {
+		if lp.Run(lvals, lregs, nil) != rp.Run(rvals, rregs, nil) {
 			return true
 		}
 	}

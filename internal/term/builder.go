@@ -576,31 +576,7 @@ func (b *Builder) Rebuild(t *Term, subst map[*Term]*Term) *Term {
 	// substitution entry). Callers that rebuild several effect terms of
 	// one instruction with the same map therefore share the walk over
 	// common subterms instead of re-deriving them per effect.
-	var walk func(*Term) *Term
-	walk = func(u *Term) *Term {
-		if s, ok := subst[u]; ok {
-			if s.W() != u.W() {
-				panic(fmt.Sprintf("term: substitution width mismatch for %s: %d vs %d", u, u.W(), s.W()))
-			}
-			return s
-		}
-		var r *Term
-		switch u.Op {
-		case Const:
-			r = b.ConstBV(u.CVal)
-		case Var:
-			r = b.VarT(u.Name, u.Kind, u.W())
-		default:
-			args := make([]*Term, len(u.Args))
-			for i, a := range u.Args {
-				args[i] = walk(a)
-			}
-			r = b.Apply(u.Op, u.W(), int(u.Aux0), int(u.Aux1), args)
-		}
-		subst[u] = r
-		return r
-	}
-	return walk(t)
+	return b.RebuildOverlay(t, nil, subst)
 }
 
 // RebuildOverlay is Rebuild with the substitution split into a read-only

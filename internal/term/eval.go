@@ -18,16 +18,6 @@ import (
 // can be compared by their sample evaluations too.
 type Env struct {
 	Vals map[string]bv.BV
-	// Mem, when non-nil, replaces the hash-based memory model for Load
-	// terms — the machine simulator supplies its real memory here. Store
-	// terms still evaluate to a digest; executors handle store effects by
-	// evaluating the address and value subterms explicitly.
-	Mem MemModel
-}
-
-// MemModel supplies load values during evaluation.
-type MemModel interface {
-	Load(addr uint64, bits int) bv.BV
 }
 
 // NewEnv returns an empty environment.
@@ -140,11 +130,7 @@ func (t *Term) eval(env *Env, memo map[*Term]bv.BV) bv.BV {
 			r = arg(2)
 		}
 	case Load:
-		if env.Mem != nil {
-			r = env.Mem.Load(arg(0).Uint64(), t.W())
-		} else {
-			r = MemValue(arg(0).Uint64(), t.W())
-		}
+		r = MemValue(arg(0).Uint64(), t.W())
 	case Store:
 		r = StoreDigest(arg(0).Uint64(), arg(1), t.W())
 	case Popcount:

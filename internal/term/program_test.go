@@ -68,7 +68,7 @@ func TestProgramMatchesEval(t *testing.T) {
 		b := NewBuilder()
 		w := []int{8, 16, 32, 64}[rng.Uint64()%4]
 		tm := genTerm(b, rng, w, 4, 3)
-		p := Compile(tm)
+		p := Compile(nil, tm)
 
 		pv := p.Vars()
 		want := tm.Vars()
@@ -83,13 +83,14 @@ func TestProgramMatchesEval(t *testing.T) {
 		}
 
 		vals := make([]bv.BV, len(pv))
+		regs := make([]bv.BV, p.NumRegs())
 		for trial := 0; trial < 16; trial++ {
 			env := NewEnv()
 			for i, v := range pv {
 				vals[i] = rng.BV(v.Width)
 				env.Bind(v.Name, vals[i])
 			}
-			got := p.Run(vals)
+			got := p.Run(vals, regs, nil)
 			ref := tm.Eval(env)
 			if got != ref {
 				t.Fatalf("iter %d trial %d: program=%v eval=%v for %s", iter, trial, got, ref, tm)
@@ -98,28 +99,79 @@ func TestProgramMatchesEval(t *testing.T) {
 	}
 }
 
-// TestProgramLoadStore pins the memory-model behavior: Run must read the
-// same deterministic hash memory Term.Eval uses when no Mem is attached.
+// TestProgramLoadStore pins the memory-model behavior: with no load
+// callback Run must read the same deterministic hash memory Term.Eval
+// uses.
 func TestProgramLoadStore(t *testing.T) {
 	b := NewBuilder()
 	addr := b.VarT("a", KindReg, 64)
 	ld := b.Load(32, addr)
 	tm := b.Add(ld, b.ZExt(32, b.VarT("x", KindReg, 8)))
-	p := Compile(tm)
+	p := Compile(nil, tm)
 	env := NewEnv()
 	env.Bind("a", bv.New(64, 0x1000))
 	env.Bind("x", bv.New(8, 7))
 	vals := []bv.BV{bv.New(64, 0x1000), bv.New(8, 7)}
-	if got, ref := p.Run(vals), tm.Eval(env); got != ref {
+	if got, ref := p.Run(vals, make([]bv.BV, p.NumRegs()), nil), tm.Eval(env); got != ref {
 		t.Fatalf("load: program=%v eval=%v", got, ref)
 	}
 
 	st := b.Store(b.VarT("a", KindReg, 64), b.VarT("v", KindReg, 32))
-	ps := Compile(st)
+	ps := Compile(nil, st)
 	env2 := NewEnv()
 	env2.Bind("a", bv.New(64, 0x2000))
 	env2.Bind("v", bv.New(32, 99))
-	if got, ref := ps.Run([]bv.BV{bv.New(64, 0x2000), bv.New(32, 99)}), st.Eval(env2); got != ref {
+	if got, ref := ps.Run([]bv.BV{bv.New(64, 0x2000), bv.New(32, 99)}, make([]bv.BV, ps.NumRegs()), nil), st.Eval(env2); got != ref {
 		t.Fatalf("store: program=%v eval=%v", got, ref)
+	}
+}
+
+// TestProgramRootsAndFixedSlots checks a multi-root program: fixed slots
+// come first in the given order (an unread one included), each root reads
+// back its own value, a subterm two roots share is compiled once, and
+// loads go through the callback when one is given.
+func TestProgramRootsAndFixedSlots(t *testing.T) {
+	b := NewBuilder()
+	x, y := b.VarT("x", KindReg, 32), b.VarT("y", KindReg, 32)
+	sum := b.Add(x, y)
+	z := b.Eq(sum, b.Const(32, 0))
+	ld := b.Load(32, b.ZExt(64, sum))
+	fixed := []PVar{{Name: "y", Kind: KindReg, Width: 32}, {Name: "unused", Kind: KindImm, Width: 8}}
+	p := Compile(fixed, sum, z, ld)
+
+	wantVars := []string{"y", "unused", "x"}
+	if len(p.Vars()) != len(wantVars) {
+		t.Fatalf("vars = %v, want %v", p.Vars(), wantVars)
+	}
+	for i, v := range p.Vars() {
+		if v.Name != wantVars[i] {
+			t.Fatalf("slot %d is %s, want %s", i, v.Name, wantVars[i])
+		}
+	}
+	adds := 0
+	for _, in := range p.code {
+		if in.op == Add {
+			adds++
+		}
+	}
+	if adds != 1 {
+		t.Fatalf("shared adder compiled %d times", adds)
+	}
+
+	vals := []bv.BV{bv.New(32, 5), bv.Zero(8), bv.New(32, 0xfffffffb)}
+	regs := make([]bv.BV, p.NumRegs())
+	var loads []uint64
+	load := func(addr uint64, bits int) bv.BV {
+		loads = append(loads, addr)
+		return bv.New(bits, 77)
+	}
+	if got := p.Run(vals, regs, load); got != bv.Zero(32) {
+		t.Fatalf("first root = %v, want 0", got)
+	}
+	if got := p.Root(regs, 1); got != bv.NewBool(true) {
+		t.Fatalf("second root = %v, want 1", got)
+	}
+	if got := p.Root(regs, 2); got != bv.New(32, 77) || len(loads) != 1 || loads[0] != 0 {
+		t.Fatalf("load root = %v after loads %v", got, loads)
 	}
 }
