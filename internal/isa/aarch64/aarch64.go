@@ -13,6 +13,7 @@ package aarch64
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"iselgen/internal/isa"
 	"iselgen/internal/spec"
@@ -109,8 +110,14 @@ func autoEnc(instSrc string, opcode int) string {
 	return fmt.Sprintf("enc(%d) { [8:0]=0x%03x; %s; }", width, opcode, strings.Join(fields, "; "))
 }
 
-// Spec returns the full specification source.
-func Spec() string {
+// Spec returns the full specification source. The text is generated
+// (and every instruction parsed for its encoding) once per process.
+func Spec() string { return specText() }
+
+var specText = sync.OnceValue(buildSpec)
+
+// buildSpec generates the specification source.
+func buildSpec() string {
 	var sb strings.Builder
 	opcode := 0
 	w := func(format string, args ...any) {

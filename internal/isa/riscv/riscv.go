@@ -20,6 +20,7 @@ package riscv
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"iselgen/internal/isa"
 	"iselgen/internal/term"
@@ -86,8 +87,14 @@ func encJ(op int) string {
 	return fmt.Sprintf("enc(32) { [6:0]=0x%02x; [11:7]=rd; [19:12]=imm[18:11]; [20]=imm[10]; [30:21]=imm[9:0]; [31]=imm[19]; }", op)
 }
 
-// Spec returns the RV64IM specification source.
-func Spec() string {
+// Spec returns the RV64IM specification source, generated once per
+// process.
+func Spec() string { return specText() }
+
+var specText = sync.OnceValue(buildSpec)
+
+// buildSpec generates the RV64IM specification source.
+func buildSpec() string {
 	var sb strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&sb, format+"\n", args...) }
 

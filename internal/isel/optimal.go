@@ -163,7 +163,7 @@ func (c *Ctx) planFor(in *gmir.Inst, model *cost.Table,
 			continue
 		}
 		vec := model.SeqVector(r.Seq)
-		for li, leaf := range r.Pattern.Leaves() {
+		for li, leaf := range r.Leaves() {
 			if !leaf.LeafReg {
 				continue // immediate-folded: encoded into the instruction
 			}

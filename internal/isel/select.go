@@ -520,14 +520,14 @@ func (c *Ctx) tryRules(in *gmir.Inst) bool {
 	var rejected []obs.RejectedCand
 	reject := func(r *rules.Rule, why matchFail) {
 		if prov.Enabled() {
-			rejected = append(rejected, obs.RejectedCand{Rule: r.Seq.String(), Reason: why.String()})
+			rejected = append(rejected, obs.RejectedCand{Rule: r.Name(), Reason: why.String()})
 		}
 	}
 	chose := func(r *rules.Rule) {
 		if prov.Enabled() {
 			prov.AddSel(obs.SelDecision{
 				Fn: c.F.Name, Root: in.String(), Engine: c.report.Selector,
-				Chosen: r.Seq.String(), Via: "rule", Rejected: rejected,
+				Chosen: r.Name(), Via: "rule", Rejected: rejected,
 			})
 		}
 	}
@@ -668,7 +668,7 @@ const failEmit matchFail = -1
 
 // matchPattern matches a rule's full pattern at root `in`.
 func (c *Ctx) matchPattern(r *rules.Rule, in *gmir.Inst) (*matchBinding, matchFail) {
-	b := &matchBinding{leafVals: make([]valOperand, len(r.Pattern.Leaves()))}
+	b := &matchBinding{leafVals: make([]valOperand, len(r.Leaves()))}
 	leafIdx := 0
 	if !c.matchTree(r.Pattern.Root, in, b, &leafIdx) {
 		return nil, failShape
@@ -874,7 +874,7 @@ func (c *Ctx) emitRule(r *rules.Rule, root *gmir.Inst, b *matchBinding) bool {
 		c.MarkCovered(in)
 	}
 	c.report.RuleInsts += 1 + len(b.interior)
-	c.report.RulesUsed = append(c.report.RulesUsed, seq.String())
+	c.report.RulesUsed = append(c.report.RulesUsed, r.Name())
 	return true
 }
 

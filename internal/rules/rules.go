@@ -119,6 +119,32 @@ type Rule struct {
 	// verbatim across save/load; zero means "no model cost recorded" and
 	// every consumer falls back to the legacy operand-count metric.
 	CostV cost.Vector
+
+	// name and leaves cache Seq.String() and Pattern.Leaves(), set by
+	// Library.Freeze so concurrent selectors read them without
+	// rebuilding either per candidate.
+	name   string
+	leaves []*pattern.Node
+}
+
+// Name is the rule's instruction sequence as Seq.String() renders it
+// (instruction names joined by " ; "): the name selection reports in
+// RulesUsed and decision provenance.
+func (r *Rule) Name() string {
+	if r.name != "" {
+		return r.name
+	}
+	return r.Seq.String()
+}
+
+// Leaves returns the pattern's leaves in depth-first order, as
+// Pattern.Leaves does. The slice may be shared: callers must not
+// modify it.
+func (r *Rule) Leaves() []*pattern.Node {
+	if r.leaves != nil {
+		return r.leaves
+	}
+	return r.Pattern.Leaves()
 }
 
 // Cost is the paper's metric: total input operands over the sequence.
@@ -335,7 +361,13 @@ func (l *Library) Candidates(k RootKey) []*Rule {
 // library; a caller that will serve a library to concurrent selectors
 // (the selection service) must Freeze it once after the last Add, after
 // which Candidates is a pure read and safe to call from many goroutines.
+// Freeze also computes each rule's Name and Leaves once.
 func (l *Library) Freeze() {
+	for _, r := range l.Rules {
+		if r.name == "" {
+			r.name, r.leaves = r.Seq.String(), r.Pattern.Leaves()
+		}
+	}
 	for _, rs := range l.byRoot {
 		sort.Slice(rs, func(i, j int) bool {
 			si, sj := rs[i].Pattern.Size(), rs[j].Pattern.Size()
@@ -361,7 +393,7 @@ func (l *Library) Freeze() {
 
 func immLeafCount(r *Rule) int {
 	n := 0
-	for _, l := range r.Pattern.Leaves() {
+	for _, l := range r.Leaves() {
 		if !l.LeafReg {
 			n++
 		}

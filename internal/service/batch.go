@@ -89,24 +89,24 @@ func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def, selector)
+	tc := sv.effectiveConfig(def, selector)
 	timeout := sv.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
 	}
-	env := sv.newProgEnv(def, e, cfg.CostModel, selector, req.VectorSeed, req.Vectors, req.Emit)
+	env := sv.newProgEnv(def, e, tc.cfg.CostModel, selector, req.VectorSeed, req.Vectors, req.Emit)
 	resp := BatchSelectResponse{
 		Target:      def.name,
 		Selector:    selector,
 		Fingerprint: e.Fingerprint,
 		Cache:       cache,
 		Partial:     e.Partial,
-		CostVersion: cfg.CostModel.Version(),
+		CostVersion: tc.costVersion,
 		Programs:    len(req.Programs),
 		Results:     make([]ProgramResult, 0, len(req.Programs)),
 	}

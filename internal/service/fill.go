@@ -95,8 +95,7 @@ func (sv *Server) FingerprintRequest(target, spec, selector string) (string, err
 	if err != nil {
 		return "", err
 	}
-	_, fp := sv.effectiveConfig(def, selector)
-	return fp, nil
+	return sv.effectiveConfig(def, selector).fp, nil
 }
 
 // fillFromPeer attempts to satisfy a cache miss from a peer replica:
@@ -233,19 +232,19 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def, req.Selector)
-	if req.Fingerprint != "" && req.Fingerprint != fp {
+	tc := sv.effectiveConfig(def, req.Selector)
+	if req.Fingerprint != "" && req.Fingerprint != tc.fp {
 		// Config skew between replicas: refusing keeps a mismatched
 		// artifact out of the requester's cache; it will fill locally.
 		sv.fail(w, http.StatusConflict,
-			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", req.Fingerprint, fp))
+			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", req.Fingerprint, tc.fp))
 		return
 	}
 	timeout := sv.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, false)
+	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, false)
 	if err != nil {
 		sv.fail(w, status, err)
 		return

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,6 +101,10 @@ type Server struct {
 	reqID   atomic.Uint64
 	closing atomic.Bool
 
+	// builtins resolves each (builtin target, selector) once, on first
+	// use: see effectiveConfig. Read-only after New.
+	builtins map[builtinKey]func() targetConfig
+
 	// testJobGate, when set, is invoked at the start of every scheduled
 	// job — the in-package tests use it to hold jobs in a deterministic
 	// "running" state while they assert on singleflight and backpressure.
@@ -152,6 +158,15 @@ func New(cfg Config) (*Server, error) {
 		logger: cfg.Logger,
 		start:  time.Now(),
 		build:  readBuildInfo(),
+	}
+	sv.builtins = map[builtinKey]func() targetConfig{}
+	for _, name := range builtinTargets {
+		for _, sel := range []string{"", "greedy", "optimal"} {
+			sv.builtins[builtinKey{name, sel}] = sync.OnceValue(func() targetConfig {
+				def, _ := sv.resolveTarget(name, "") // builtin names always resolve
+				return sv.resolveConfig(def, sel)
+			})
+		}
 	}
 	sv.mux.HandleFunc("POST /v1/synthesize", sv.handleSynthesize)
 	sv.mux.HandleFunc("POST /v1/select", sv.handleSelect)
@@ -238,8 +253,7 @@ func (sv *Server) resolveTarget(name, inline string) (targetDef, error) {
 		if name == "" {
 			name = "inline"
 		}
-		switch name {
-		case "aarch64", "riscv", "x86":
+		if slices.Contains(builtinTargets, name) {
 			return targetDef{}, fmt.Errorf("inline spec may not shadow builtin target %q", name)
 		}
 		if _, err := spec.Check(inline); err != nil {
@@ -268,18 +282,48 @@ func (sv *Server) resolveTarget(name, inline string) (targetDef, error) {
 	}
 }
 
-// effectiveConfig resolves the server-wide synthesis config for one
-// target (wiring in the target's special sequences, §VII-A, and — for
-// the builtin selection targets — the target-derived cost model) and
-// the resulting content fingerprint. The requested selector and the
-// cost-table version both flow into the fingerprint via the config's
-// CacheKey, so a greedy-selected artifact can never be answered from a
-// cache slot an optimal request populated (or vice versa), and editing
-// a cost table invalidates everything stamped under the old one. The
-// deadline is deliberately not part of the key: partial results are
-// never cached, and a full result is identical whatever budget it ran
-// under.
-func (sv *Server) effectiveConfig(def targetDef, selector string) (core.Config, string) {
+// builtinTargets names the targets resolved from their builtin spec.
+var builtinTargets = []string{"aarch64", "riscv", "x86"}
+
+// builtinKey indexes Server.builtins.
+type builtinKey struct{ target, selector string }
+
+// targetConfig is a target resolved against the server's synthesis
+// config for one selector: the effective config, its content
+// fingerprint, and the version of the cost table the config carries.
+type targetConfig struct {
+	cfg         core.Config
+	fp          string
+	costVersion string
+}
+
+// effectiveConfig returns the targetConfig a request for (def,
+// selector) runs under. A builtin target's spec, config and cost table
+// are fixed for the server's lifetime, so each (builtin, selector) is
+// resolved once and every later request reuses it: per-request work
+// stays proportional to the request, never to the spec or cost table.
+// An inline spec is request input and is resolved on every request.
+func (sv *Server) effectiveConfig(def targetDef, selector string) targetConfig {
+	if !def.inline {
+		if get, ok := sv.builtins[builtinKey{def.name, selector}]; ok {
+			return get()
+		}
+	}
+	return sv.resolveConfig(def, selector)
+}
+
+// resolveConfig computes a targetConfig: the server-wide synthesis
+// config for one target (wiring in the target's special sequences,
+// §VII-A, and — for the builtin selection targets — the target-derived
+// cost model) and the resulting content fingerprint. The requested
+// selector and the cost-table version both flow into the fingerprint
+// via the config's CacheKey, so a greedy-selected artifact can never be
+// answered from a cache slot an optimal request populated (or vice
+// versa), and editing a cost table invalidates everything stamped under
+// the old one. The deadline is deliberately not part of the key:
+// partial results are never cached, and a full result is identical
+// whatever budget it ran under.
+func (sv *Server) resolveConfig(def targetDef, selector string) targetConfig {
 	cfg := sv.cfg.Synth
 	if cfg.ExtraSequences == nil {
 		cfg.ExtraSequences = harness.ExtraSequences(def.name)
@@ -294,7 +338,7 @@ func (sv *Server) effectiveConfig(def targetDef, selector string) (core.Config, 
 	}
 	fp := rules.Fingerprint(fingerprintScheme, def.name, def.spec,
 		cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns))
-	return cfg, fp
+	return targetConfig{cfg: cfg, fp: fp, costVersion: cfg.CostModel.Version()}
 }
 
 // lineageKey identifies the incremental line of descent a request
@@ -315,7 +359,8 @@ func (sv *Server) lineageKey(def targetDef, cfg core.Config) string {
 // returned status is the HTTP code to answer with. allowPeer is false
 // exactly when the request *is* a peer fill, so replicas can never fill
 // from each other in a cycle.
-func (sv *Server) entryFor(ctx context.Context, def targetDef, cfg core.Config, fp string, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
+func (sv *Server) entryFor(ctx context.Context, def targetDef, tc targetConfig, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
+	cfg, fp := tc.cfg, tc.fp
 	e, fl, owner := sv.store.Acquire(fp)
 	if e != nil {
 		sv.metrics.CacheHits.Add(1)
@@ -563,12 +608,12 @@ func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def, "")
+	tc := sv.effectiveConfig(def, "")
 	timeout := sv.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
@@ -722,12 +767,13 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def, selector)
+	tc := sv.effectiveConfig(def, selector)
+	cfg := tc.cfg
 	timeout := sv.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
@@ -751,7 +797,7 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			RuleInsts:      res.RuleInsts,
 			HookInsts:      res.HookInsts,
 			Selector:       selector,
-			CostVersion:    cfg.CostModel.Version(),
+			CostVersion:    tc.costVersion,
 			StaticCost:     res.StaticCost,
 			Cycles:         res.Cycles,
 			Insts:          res.Insts,
@@ -785,7 +831,7 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		HookInsts:      rep.HookInsts,
 		RulesUsed:      rep.RulesUsed,
 		Selector:       selector,
-		CostVersion:    cfg.CostModel.Version(),
+		CostVersion:    tc.costVersion,
 	}
 	if !rep.Fallback {
 		mem := gmir.NewMemory()
