@@ -123,7 +123,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("iseld", flag.ExitOnError)
 	fs.StringVar(&cli.addr, "addr", ":8791", "listen address")
 	fs.StringVar(&cli.cacheDir, "cache-dir", "", "disk artifact cache directory (empty = memory only)")
-	fs.IntVar(&cli.cacheEntries, "cache-entries", 0, "LRU cap on in-memory cached libraries (0 = unbounded)")
+	fs.IntVar(&cli.cacheEntries, "cache-entries", 0, "LRU cap on in-memory cached libraries and, separately, on incremental lineages (0 = unbounded)")
 	fs.IntVar(&cli.workers, "workers", 2, "synthesis jobs running at once")
 	fs.IntVar(&cli.synthWorkers, "synth-workers", 0, "matcher threads per synthesis job (0 = ISEL_WORKERS or NumCPU)")
 	fs.IntVar(&cli.queue, "queue", 8, "waiting-job queue depth (full queue answers 429)")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // maxBatchBodyBytes bounds batch request bodies — batches carry up to
@@ -74,44 +73,24 @@ func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, fmt.Errorf("batch: emit=bytes is not supported (use /v1/select)"))
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, "")
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
+	q, e, cache, ok := sv.acquire(w, r, libRequest{target: req.Target, selector: req.Selector,
+		timeoutMS: req.TimeoutMS, selecting: true}, true)
+	if !ok {
 		return
 	}
-	if def.backend == nil {
-		sv.fail(w, http.StatusBadRequest,
-			fmt.Errorf("target %q has no selection backend (selection targets: aarch64, riscv)", def.name))
-		return
-	}
-	selector, err := normalizeSelector(req.Selector)
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	tc := sv.effectiveConfig(def, selector)
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
-	if err != nil {
-		sv.fail(w, status, err)
-		return
-	}
-	env := sv.newProgEnv(def, e, tc.cfg.CostModel, selector, req.VectorSeed, req.Vectors, req.Emit)
+	env := sv.newProgEnv(q, e, req.VectorSeed, req.Vectors, req.Emit)
 	resp := BatchSelectResponse{
-		Target:      def.name,
-		Selector:    selector,
+		Target:      q.def.name,
+		Selector:    q.tc.cfg.Selector,
 		Fingerprint: e.Fingerprint,
 		Cache:       cache,
 		Partial:     e.Partial,
-		CostVersion: tc.costVersion,
+		CostVersion: q.tc.costVersion,
 		Programs:    len(req.Programs),
 		Results:     make([]ProgramResult, 0, len(req.Programs)),
 	}
 	for i, text := range req.Programs {
-		res := env.selectProgram(i, text)
+		res, _ := env.selectProgram(i, text)
 		switch {
 		case res.Error != "":
 			resp.Failed++

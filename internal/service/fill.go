@@ -10,7 +10,6 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
-	"iselgen/internal/term"
 )
 
 // ErrLocalFill is returned by a RemoteFiller when the local node is the
@@ -91,34 +90,24 @@ func (sv *Server) SetFiller(f RemoteFiller) { sv.filler = f }
 // (target|inline spec, selector) resolves to — exported for the cluster
 // layer, which routes ownership by it.
 func (sv *Server) FingerprintRequest(target, spec, selector string) (string, error) {
-	def, err := sv.resolveTarget(target, spec)
-	if err != nil {
-		return "", err
-	}
-	return sv.effectiveConfig(def, selector).fp, nil
+	q, _, err := sv.resolve(libRequest{target: target, spec: spec, selector: selector})
+	return q.tc.fp, err
 }
 
 // fillFromPeer attempts to satisfy a cache miss from a peer replica:
-// fetch the serialized artifact, then re-verify every rule against a
-// freshly materialized target (a peer is trusted no further than the
-// disk layer is). ok=false on any failure — the caller then falls back
-// to the local incremental/synthesis path. tc, when valid, is the synth
-// flight's trace context: the fill span parents under it and its own
-// context rides the peer call's X-Iseld-Trace header, so the owner's
-// spans land in the same fleet trace.
-func (sv *Server) fillFromPeer(def targetDef, fp, selector, rid string, timeout time.Duration, tc obs.TraceContext) (*Entry, bool) {
-	if sv.filler == nil {
-		return nil, false
-	}
+// fetch the serialized artifact, then load it through loadEntry, the
+// same verified load the disk layer uses. ok=false on any failure — the
+// caller then falls back to the local incremental/synthesis path. tc,
+// when valid, is the synth flight's trace context: the fill span
+// parents under it and its own context rides the peer call's
+// X-Iseld-Trace header, so the owner's spans land in the same fleet
+// trace.
+func (sv *Server) fillFromPeer(q libQuery, rid string, tc obs.TraceContext) (*Entry, bool) {
 	t0 := time.Now()
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		// The fill budget is the synthesis budget: the owner may be
-		// synthesizing on our behalf, so give it the same deadline a
-		// local run would get.
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
+	// The fill budget is the synthesis budget: the owner may be
+	// synthesizing on our behalf, so give it the same deadline a local
+	// run would get.
+	ctx, cancel := withTimeout(q.timeout)
 	defer cancel()
 	var sp *obs.Span
 	if tr := sv.obsv.TracerOrNil(); tr != nil {
@@ -128,16 +117,17 @@ func (sv *Server) fillFromPeer(def targetDef, fp, selector, rid string, timeout 
 			sp = tr.Start("cluster fill")
 		}
 	}
+	fp := q.tc.fp
 	sp.SetStr("fingerprint", fp).SetStr("request_id", rid)
 	req := FillRequest{
 		Fingerprint: fp,
-		Target:      def.name,
-		Selector:    selector,
-		TimeoutMS:   int64(timeout / time.Millisecond),
+		Target:      q.def.name,
+		Selector:    q.tc.cfg.Selector,
+		TimeoutMS:   int64(q.timeout / time.Millisecond),
 		RequestID:   rid,
 	}
-	if def.inline {
-		req.Spec = def.spec
+	if q.def.inline {
+		req.Spec = q.def.spec
 	}
 	if fc := sp.Context(); fc.Valid() {
 		req.TraceParent = fc.Header()
@@ -147,34 +137,21 @@ func (sv *Server) fillFromPeer(def targetDef, fp, selector, rid string, timeout 
 		sp.SetStr("outcome", "local").End()
 		return nil, false
 	}
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
-	if err != nil {
-		sp.SetStr("outcome", "load-error").End()
-		return nil, false
-	}
-	lib, err := isel.LoadLibrary(b, tgt, rf.Text)
+	e, err := loadEntry(fp, rf.Text, q.def.materialize)
 	if err != nil {
 		// A peer artifact that does not verify is poison, exactly like a
 		// stale disk artifact: ignore it and synthesize cleanly.
-		sp.SetStr("outcome", "verify-error").End()
+		outcome := "verify-error"
+		if errors.Is(err, errMaterialize) {
+			outcome = "load-error"
+		}
+		sp.SetStr("outcome", outcome).End()
 		return nil, false
 	}
-	lib.Freeze()
 	sp.SetStr("outcome", "peer").SetStr("peer", rf.Peer).End()
-	return &Entry{
-		Fingerprint: fp,
-		TargetName:  def.name,
-		B:           b,
-		Target:      tgt,
-		Lib:         lib,
-		Partial:     rf.Partial,
-		Stats:       rf.Stats,
-		Elapsed:     time.Since(t0),
-		Origin:      "peer",
-		Reused:      rf.Reused,
-		Resynth:     rf.Resynthesized,
-	}, true
+	e.Partial, e.Stats, e.Reused, e.Resynth = rf.Partial, rf.Stats, rf.Reused, rf.Resynthesized
+	e.Elapsed, e.Origin = time.Since(t0), "peer"
+	return e, true
 }
 
 // ArtifactResponse answers POST /v1/artifact: the serialized library
@@ -195,62 +172,8 @@ type ArtifactResponse struct {
 	Library       string          `json:"library"`
 }
 
-// handleArtifact is the peer-fill endpoint. A cache_only request
-// answers exclusively from the in-memory layer (404 on a miss) — the
-// hedged-probe path. A full request runs the whole local cache protocol
-// (memory, disk, incremental, synthesis) with peer-filling disabled, so
-// two replicas can never fill from each other in a cycle; cross-node
-// singleflight falls out of the local store's flight, because every
-// replica sends its fill for a fingerprint to the same ring owner.
-func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	var req FillRequest
-	if !sv.decode(w, r, &req) {
-		return
-	}
-	if req.CacheOnly {
-		e := sv.store.Peek(req.Fingerprint)
-		if e == nil {
-			sv.fail(w, http.StatusNotFound, fmt.Errorf("artifact %s not cached here", req.Fingerprint))
-			return
-		}
-		sv.metrics.ArtifactServed.Add(1)
-		writeJSON(w, http.StatusOK, ArtifactResponse{
-			Fingerprint:   e.Fingerprint,
-			Target:        e.TargetName,
-			Cache:         "hit",
-			Partial:       e.Partial,
-			Rules:         e.Lib.Len(),
-			Stats:         e.Stats,
-			Reused:        e.Reused,
-			Resynthesized: e.Resynth,
-			Library:       isel.SaveLibraryFor(e.Lib, e.Target),
-		})
-		return
-	}
-	def, err := sv.resolveTarget(req.Target, req.Spec)
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	tc := sv.effectiveConfig(def, req.Selector)
-	if req.Fingerprint != "" && req.Fingerprint != tc.fp {
-		// Config skew between replicas: refusing keeps a mismatched
-		// artifact out of the requester's cache; it will fill locally.
-		sv.fail(w, http.StatusConflict,
-			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", req.Fingerprint, tc.fp))
-		return
-	}
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, false)
-	if err != nil {
-		sv.fail(w, status, err)
-		return
-	}
-	sv.metrics.ArtifactServed.Add(1)
-	writeJSON(w, http.StatusOK, ArtifactResponse{
+func artifactResponse(e *Entry, cache string) ArtifactResponse {
+	return ArtifactResponse{
 		Fingerprint:   e.Fingerprint,
 		Target:        e.TargetName,
 		Cache:         cache,
@@ -260,5 +183,39 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		Reused:        e.Reused,
 		Resynthesized: e.Resynth,
 		Library:       isel.SaveLibraryFor(e.Lib, e.Target),
-	})
+	}
+}
+
+// handleArtifact is the peer-fill endpoint. A cache_only request
+// answers exclusively from the in-memory layer (404 on a miss) — the
+// hedged-probe path. A full request runs the whole local cache protocol
+// (memory, disk, incremental, synthesis) with peer-filling disabled, so
+// two replicas can never fill from each other in a cycle; cross-node
+// singleflight falls out of the local store's flight, because every
+// replica sends its fill for a fingerprint to the same ring owner. A
+// requester fingerprint that differs from the one computed here is
+// config skew between replicas: the 409 keeps the mismatched artifact
+// out of the requester's cache, and it fills locally.
+func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	var req FillRequest
+	if !sv.decode(w, r, &req) {
+		return
+	}
+	var e *Entry
+	cache := "hit"
+	if req.CacheOnly {
+		if e = sv.store.Peek(req.Fingerprint); e == nil {
+			sv.fail(w, http.StatusNotFound, fmt.Errorf("artifact %s not cached here", req.Fingerprint))
+			return
+		}
+	} else {
+		var ok bool
+		_, e, cache, ok = sv.acquire(w, r, libRequest{target: req.Target, spec: req.Spec,
+			selector: req.Selector, timeoutMS: req.TimeoutMS, fingerprint: req.Fingerprint}, false)
+		if !ok {
+			return
+		}
+	}
+	sv.metrics.ArtifactServed.Add(1)
+	writeJSON(w, http.StatusOK, artifactResponse(e, cache))
 }

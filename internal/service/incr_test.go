@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"iselgen/internal/isa/riscv"
 )
 
 // svcSpecEdited is svcSpec with one semantic edit: ORNrr or-inverts no
@@ -18,72 +21,109 @@ var svcSpecEdited = strings.Replace(svcSpec,
 	"inst ORNrr(rn: reg64, rm: reg64) { rd = rn | ~rm; }",
 	"inst ORNrr(rn: reg64, rm: reg64) { rd = rn | rm; }", 1)
 
-// TestIncrementalSpecEdit is the service-level acceptance for the shard
-// store: after one full synthesis, a whitespace-only edit resynthesizes
-// from shards with every rule reused and zero solver queries, and a
-// semantic edit still answers from shards, re-running synthesis only
-// for the touched instruction.
+// ruleLines returns the rule lines of the library text /v1/artifact
+// serves for an inline spec.
+func ruleLines(t *testing.T, base, name, spec string) map[string]bool {
+	t.Helper()
+	status, body := postJSON(t, base+"/v1/artifact", FillRequest{Target: name, Spec: spec})
+	if status != http.StatusOK {
+		t.Fatalf("artifact %s: status %d: %s", name, status, body)
+	}
+	var ar ArtifactResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, ln := range strings.Split(ar.Library, "\n") {
+		if ln != "" && !strings.HasPrefix(ln, "#") {
+			lines[ln] = true
+		}
+	}
+	return lines
+}
+
+// TestIncrementalSpecEdit is the service-level acceptance for the
+// lineage libraries: after one full synthesis, a whitespace-only edit
+// resynthesizes from the lineage's library text with every rule reused,
+// zero solver queries and the same rules, and a semantic edit still
+// answers incrementally, re-running synthesis only for the touched
+// instruction. The inputs are the small test ISA and the riscv spec
+// inline under a non-builtin name.
 func TestIncrementalSpecEdit(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	rv := riscv.Spec()
+	cases := []struct {
+		name, spec, semantic string
+	}{
+		{"mini", svcSpec, svcSpecEdited},
+		{"rv", rv, strings.Replace(rv, "rd = rs1 ^ rs2;", "rd = rs1 | rs2;", 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.semantic == tc.spec {
+				t.Fatal("semantic edit left the spec unchanged")
+			}
+			_, ts := newTestServer(t, testConfig())
+			synth := func(what, spec string) SynthesizeResponse {
+				t.Helper()
+				status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: tc.name, Spec: spec})
+				if status != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", what, status, body)
+				}
+				return decodeSynth(t, body)
+			}
 
-	// 1. Cold lineage: full synthesis.
-	status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusOK {
-		t.Fatalf("seed synthesis: status %d: %s", status, body)
-	}
-	first := decodeSynth(t, body)
-	if first.Cache != "miss" {
-		t.Fatalf("seed cache = %q, want miss", first.Cache)
-	}
+			// 1. Cold lineage: full synthesis.
+			first := synth("seed synthesis", tc.spec)
+			if first.Cache != "miss" {
+				t.Fatalf("seed cache = %q, want miss", first.Cache)
+			}
 
-	// 2. Whitespace-only edit: new spec text, so the full cache misses —
-	// but the instruction fingerprints are unchanged, so the shard store
-	// answers with every rule reused and the solver never consulted.
-	status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec + "\n"})
-	if status != http.StatusOK {
-		t.Fatalf("whitespace edit: status %d: %s", status, body)
-	}
-	ws := decodeSynth(t, body)
-	if ws.Cache != "incr" {
-		t.Fatalf("whitespace edit cache = %q, want incr", ws.Cache)
-	}
-	if ws.Fingerprint == first.Fingerprint {
-		t.Error("edited spec reused the seed fingerprint")
-	}
-	if ws.Rules != first.Rules || ws.Reused != first.Rules || ws.Resynthesized != 0 {
-		t.Errorf("whitespace edit: rules=%d reused=%d resynth=%d, want %d/%d/0",
-			ws.Rules, ws.Reused, ws.Resynthesized, first.Rules, first.Rules)
-	}
-	if ws.Stats.SMTQueries != 0 {
-		t.Errorf("whitespace edit consulted the solver %d times, want 0", ws.Stats.SMTQueries)
-	}
+			// 2. Whitespace-only edit: new spec text, so the full cache
+			// misses — but the instruction fingerprints are unchanged, so
+			// the lineage answers with every rule reused and the solver
+			// never consulted.
+			ws := synth("whitespace edit", tc.spec+"\n")
+			if ws.Cache != "incr" {
+				t.Fatalf("whitespace edit cache = %q, want incr", ws.Cache)
+			}
+			if ws.Fingerprint == first.Fingerprint {
+				t.Error("edited spec reused the seed fingerprint")
+			}
+			if ws.Rules != first.Rules || ws.Reused != first.Rules || ws.Resynthesized != 0 {
+				t.Errorf("whitespace edit: rules=%d reused=%d resynth=%d, want %d/%d/0",
+					ws.Rules, ws.Reused, ws.Resynthesized, first.Rules, first.Rules)
+			}
+			if ws.Stats.SMTQueries != 0 {
+				t.Errorf("whitespace edit consulted the solver %d times, want 0", ws.Stats.SMTQueries)
+			}
+			if seed, got := ruleLines(t, ts.URL, tc.name, tc.spec), ruleLines(t, ts.URL, tc.name, tc.spec+"\n"); !maps.Equal(seed, got) {
+				t.Errorf("whitespace edit changed the rule lines:\nseed %v\ngot  %v", seed, got)
+			}
 
-	// 3. Semantic edit to one instruction: still served from shards,
-	// with most rules reused.
-	status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpecEdited})
-	if status != http.StatusOK {
-		t.Fatalf("semantic edit: status %d: %s", status, body)
-	}
-	sem := decodeSynth(t, body)
-	if sem.Cache != "incr" {
-		t.Fatalf("semantic edit cache = %q, want incr", sem.Cache)
-	}
-	if sem.Rules == 0 || sem.Reused == 0 {
-		t.Errorf("semantic edit: rules=%d reused=%d, want both > 0", sem.Rules, sem.Reused)
-	}
+			// 3. Semantic edit to one instruction: still answered from the
+			// lineage, with rules reused.
+			sem := synth("semantic edit", tc.semantic)
+			if sem.Cache != "incr" {
+				t.Fatalf("semantic edit cache = %q, want incr", sem.Cache)
+			}
+			if sem.Rules == 0 || sem.Reused == 0 {
+				t.Errorf("semantic edit: rules=%d reused=%d, want both > 0", sem.Rules, sem.Reused)
+			}
 
-	m := getMetrics(t, ts.URL)
-	if m.SynthRuns != 1 {
-		t.Errorf("synth_runs = %d, want 1 (edits must not trigger full synthesis)", m.SynthRuns)
-	}
-	if m.IncrRuns != 2 {
-		t.Errorf("incr_runs = %d, want 2", m.IncrRuns)
-	}
-	if m.RulesReused == 0 {
-		t.Error("rules_reused = 0 after two incremental runs")
-	}
-	if m.ShardLineages != 1 || m.Shards == 0 {
-		t.Errorf("shard_lineages=%d shards=%d, want 1 lineage with shards", m.ShardLineages, m.Shards)
+			m := getMetrics(t, ts.URL)
+			if m.SynthRuns != 1 {
+				t.Errorf("synth_runs = %d, want 1 (edits must not trigger full synthesis)", m.SynthRuns)
+			}
+			if m.IncrRuns != 2 {
+				t.Errorf("incr_runs = %d, want 2", m.IncrRuns)
+			}
+			if m.RulesReused == 0 {
+				t.Error("rules_reused = 0 after two incremental runs")
+			}
+			if m.ShardLineages != 1 || m.Shards == 0 {
+				t.Errorf("shard_lineages=%d shards=%d, want 1 lineage with shards", m.ShardLineages, m.Shards)
+			}
+		})
 	}
 }
 
@@ -145,6 +185,38 @@ func TestServerCacheCap(t *testing.T) {
 	}
 	if m.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", m.Evictions)
+	}
+}
+
+// TestLineagesFollowCacheCap: the lineages are capped by CacheEntries
+// with the library cache's LRU rule — inline specs name their own
+// targets, so without the cap every new name would add a lineage for
+// good. The surviving lineage is the most recent one.
+func TestLineagesFollowCacheCap(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheEntries = 1
+	_, ts := newTestServer(t, cfg)
+	synth := func(name, spec string) SynthesizeResponse {
+		t.Helper()
+		status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: name, Spec: spec})
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, status, body)
+		}
+		return decodeSynth(t, body)
+	}
+	for i := 1; i <= 3; i++ {
+		synth(fmt.Sprintf("t%d", i), svcSpec)
+	}
+	m := getMetrics(t, ts.URL)
+	if m.CachedEntries != 1 || m.ShardLineages != 1 {
+		t.Errorf("cached_entries=%d shard_lineages=%d, want 1 and 1 under CacheEntries=1",
+			m.CachedEntries, m.ShardLineages)
+	}
+	if got := synth("t3", svcSpec+"\n").Cache; got != "incr" {
+		t.Errorf("edit of the newest lineage: cache %q, want incr", got)
+	}
+	if got := synth("t1", svcSpec+"\n").Cache; got != "miss" {
+		t.Errorf("edit of an evicted lineage: cache %q, want miss", got)
 	}
 }
 

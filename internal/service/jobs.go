@@ -213,12 +213,12 @@ func (sv *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !sv.decode(w, r, &req) {
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, req.Spec)
+	q, status, err := sv.resolve(libRequest{target: req.Target, spec: req.Spec, timeoutMS: req.TimeoutMS})
 	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
+		sv.fail(w, status, err)
 		return
 	}
-	rec, err := sv.jobs.admit("synthesize", def.name)
+	rec, err := sv.jobs.admit("synthesize", q.def.name)
 	if err != nil {
 		sv.fail(w, http.StatusTooManyRequests, err)
 		return
@@ -235,35 +235,17 @@ func (sv *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		var jsp *obs.Span
 		if tc.Valid() {
 			jsp = sv.obsv.TracerOrNil().StartRemote("job synthesize", tc).
-				SetStr("job_id", rec.id).SetStr("target", def.name)
-		}
-		tc := sv.effectiveConfig(def, "")
-		timeout := sv.cfg.DefaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+				SetStr("job_id", rec.id).SetStr("target", q.def.name)
 		}
 		ctx := WithRequestID(context.Background(), rid)
 		ctx = WithTraceContext(ctx, jsp.Context())
-		e, cache, _, err := sv.entryFor(ctx, def, tc, timeout, true)
+		e, cache, _, err := sv.entryFor(ctx, q, true)
 		if err != nil {
 			jsp.SetStr("cache", "error").End()
 			sv.jobs.finish(rec, nil, err)
 			return
 		}
-		resp := &SynthesizeResponse{
-			Target:      e.TargetName,
-			Fingerprint: e.Fingerprint,
-			Rules:       e.Lib.Len(),
-			Partial:     e.Partial,
-			Cache:       cache,
-			ElapsedMS:   float64(e.Elapsed.Nanoseconds()) / 1e6,
-			BySource:    e.Lib.Summarize().BySource,
-			Stats:       e.Stats,
-		}
-		resp.Reused, resp.Resynthesized = e.Reused, e.Resynth
-		if req.Emit {
-			resp.Library = e.Lib.Emit()
-		}
+		resp := synthesizeResponse(e, cache, req.Emit)
 		jsp.SetStr("cache", cache).End()
 		sv.jobs.finish(rec, resp, nil)
 	}()

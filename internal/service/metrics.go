@@ -20,7 +20,7 @@ type Metrics struct {
 	SynthRuns  atomic.Uint64 // full synthesis executions
 	PartialRes atomic.Uint64 // deadline-curtailed (partial) results
 
-	IncrRuns     atomic.Uint64 // incremental resyntheses served from shards
+	IncrRuns     atomic.Uint64 // incremental resyntheses from a lineage library
 	RulesReused  atomic.Uint64 // rules carried over re-verified (zero solver queries)
 	RulesResynth atomic.Uint64 // rules synthesized by incremental runs
 	Errors       atomic.Uint64 // requests answered with an error status

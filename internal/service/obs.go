@@ -299,7 +299,7 @@ func (sv *Server) registerGauges() {
 		func() int64 { return int64(sv.metrics.Joins.Load()) })
 	mirror("synth_runs", "full synthesis executions",
 		func() int64 { return int64(sv.metrics.SynthRuns.Load()) })
-	mirror("incr_runs", "incremental resyntheses served from shards",
+	mirror("incr_runs", "incremental resyntheses from a lineage library",
 		func() int64 { return int64(sv.metrics.IncrRuns.Load()) })
 	mirror("partial_results", "deadline-curtailed synthesis results",
 		func() int64 { return int64(sv.metrics.PartialRes.Load()) })

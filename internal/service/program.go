@@ -3,10 +3,12 @@ package service
 import (
 	"fmt"
 
+	"iselgen/internal/bv"
 	"iselgen/internal/cost"
 	"iselgen/internal/fuzz"
 	"iselgen/internal/gmir"
 	"iselgen/internal/isel"
+	"iselgen/internal/mir"
 	"iselgen/internal/sim"
 )
 
@@ -24,7 +26,6 @@ const maxProgramVectors = 8
 // discipline the fuzz driver applies.
 type progEnv struct {
 	target   string
-	entry    *Entry
 	backend  *isel.Backend
 	model    *cost.Table
 	minWidth int
@@ -56,79 +57,84 @@ type ProgramResult struct {
 // newProgEnv builds the shared environment around an acquired cache
 // entry. minWidth mirrors the fuzz pipeline's legalization floor: RV64
 // backends are 64-bit only.
-func (sv *Server) newProgEnv(def targetDef, e *Entry, model *cost.Table, selector string, seed uint64, vectors int, emit EmitMode) *progEnv {
-	bk := def.backend(e.Target, e.Lib)
+func (sv *Server) newProgEnv(q libQuery, e *Entry, seed uint64, vectors int, emit EmitMode) *progEnv {
+	model := q.tc.cfg.CostModel
+	bk := q.def.backend(e.Target, e.Lib)
 	bk.Obs = sv.obsv
-	if selector == "optimal" {
+	if q.tc.cfg.Selector == "optimal" {
 		bk = isel.OptimalVariant(bk, model)
 	}
 	minW := 32
-	if def.name == "riscv" {
+	if q.def.name == "riscv" {
 		minW = 64
 	}
 	if seed == 0 {
 		seed = 1
 	}
-	if vectors < 1 {
-		vectors = 1
-	}
-	if vectors > maxProgramVectors {
-		vectors = maxProgramVectors
-	}
 	return &progEnv{
-		target:   def.name,
-		entry:    e,
+		target:   q.def.name,
 		backend:  bk,
 		model:    model,
 		minWidth: minW,
 		seed:     seed,
-		vectors:  vectors,
+		vectors:  min(max(vectors, 1), maxProgramVectors),
 		emit:     emit,
 	}
 }
 
 // selectProgram lowers one corpus-text program through the shared
-// environment: parse, legalize, select, simulate on the deterministic
-// vectors. Failures are per-program data, never HTTP errors — one
-// malformed program must not void the rest of its batch.
-func (env *progEnv) selectProgram(idx int, text string) (res ProgramResult) {
-	res.Index = idx
+// environment: parse, legalize, then lower on the deterministic vectors.
+// Failures are per-program data, never HTTP errors — one malformed
+// program must not void the rest of its batch. The selected function is
+// returned for /v1/select's emit=bytes.
+func (env *progEnv) selectProgram(idx int, text string) (res ProgramResult, mf *mir.Func) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = ProgramResult{Index: idx, Error: fmt.Sprintf("panic: %v", r)}
+			res, mf = ProgramResult{Index: idx, Error: fmt.Sprintf("panic: %v", r)}, nil
 		}
 	}()
 	p, err := fuzz.ParseProg(text)
 	if err != nil {
-		res.Error = err.Error()
-		return res
+		return ProgramResult{Index: idx, Error: err.Error()}, nil
 	}
 	f, err := p.Build()
 	if err != nil {
-		res.Error = err.Error()
-		return res
+		return ProgramResult{Index: idx, Error: err.Error()}, nil
 	}
 	if err := gmir.Legalize(f, env.minWidth); err != nil {
-		res.Error = fmt.Sprintf("legalize: %v", err)
-		return res
+		return ProgramResult{Index: idx, Error: fmt.Sprintf("legalize: %v", err)}, nil
 	}
+	res, mf, _ = env.lower(idx, f, fuzz.VectorsFor(env.seed, p, env.vectors), nil)
+	return res, mf
+}
+
+// lower is the per-program step every select path shares: select f and,
+// unless selection fell back (mf is then nil), price the result under
+// the cost model and simulate it once per input vector, each run on
+// fresh memory seeded by initMem (nil leaves it zeroed).
+func (env *progEnv) lower(idx int, f *gmir.Function, inputs [][]bv.BV, initMem func(*gmir.Memory)) (res ProgramResult, mf *mir.Func, rep *isel.Report) {
+	res.Index = idx
 	isel.Prepare(f, env.target)
-	mf, rep := env.backend.Select(f)
+	mf, rep = env.backend.Select(f)
 	res.Fallback = rep.Fallback
 	res.FallbackReason = rep.FallbackReason
 	if rep.Fallback {
-		return res
+		return res, nil, rep
 	}
 	res.RuleInsts = rep.RuleInsts
 	res.HookInsts = rep.HookInsts
 	res.StaticCost = cost.StaticOf(mf, env.model).String()
 	res.BinarySize = mf.BinarySize()
-	for _, args := range fuzz.VectorsFor(env.seed, p, env.vectors) {
-		m := &sim.Machine{Mem: gmir.NewMemory(), Model: env.model}
+	for _, args := range inputs {
+		mem := gmir.NewMemory()
+		if initMem != nil {
+			initMem(mem)
+		}
+		m := &sim.Machine{Mem: mem, Model: env.model}
 		out, err := m.Run(mf, args)
 		if err != nil {
 			res.Error = fmt.Sprintf("sim: %v", err)
-			return res
+			return res, mf, rep
 		}
 		res.Cycles += out.Cycles
 		res.Insts += out.Insts
@@ -137,5 +143,5 @@ func (env *progEnv) selectProgram(idx int, text string) (res ProgramResult) {
 	if env.emit == "mir" {
 		res.MIR = mf.String()
 	}
-	return res
+	return res, mf, rep
 }

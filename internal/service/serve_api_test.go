@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -56,6 +57,30 @@ func TestSelectEmitLegacyBooleanCompat(t *testing.T) {
 		map[string]any{"target": "riscv", "program": apiProg, "emit": "asm"})
 	if status != http.StatusBadRequest {
 		t.Fatalf("emit=asm answered %d (%s), want 400", status, raw)
+	}
+}
+
+// TestSelectProgramEmitBytes: program mode assembles emit=bytes the way
+// workload mode does, into non-empty machine code and a decoded listing.
+func TestSelectProgramEmitBytes(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	status, raw := postJSON(t, ts.URL+"/v1/select",
+		map[string]any{"target": "riscv", "program": apiProg, "emit": "bytes"})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	var sr SelectResponse
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Fallback {
+		t.Fatalf("selection fell back: %s", sr.FallbackReason)
+	}
+	if sr.Bytes == "" || len(sr.Listing) == 0 {
+		t.Fatalf("emit=bytes answered bytes=%q listing=%v, want both", sr.Bytes, sr.Listing)
+	}
+	if _, err := hex.DecodeString(sr.Bytes); err != nil {
+		t.Errorf("bytes are not hex: %v", err)
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 	"time"
 
 	"iselgen/internal/bench"
+	"iselgen/internal/bv"
 	"iselgen/internal/core"
-	"iselgen/internal/cost"
 	"iselgen/internal/enc"
-	"iselgen/internal/gmir"
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isa"
@@ -25,9 +24,9 @@ import (
 	"iselgen/internal/isa/riscv"
 	"iselgen/internal/isa/x86"
 	"iselgen/internal/isel"
+	"iselgen/internal/mir"
 	"iselgen/internal/obs"
 	"iselgen/internal/rules"
-	"iselgen/internal/sim"
 	"iselgen/internal/solver"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
@@ -48,8 +47,9 @@ type Config struct {
 	QueueDepth int
 	// CacheDir, when non-empty, enables the disk artifact layer.
 	CacheDir string
-	// CacheEntries, when positive, caps the in-memory library cache;
-	// past the cap the least-recently-used entry is evicted (0 = unbounded).
+	// CacheEntries, when positive, caps the in-memory library cache and,
+	// by the same rule, the incremental lineages: past the cap the
+	// least-recently-used one is evicted (0 = unbounded).
 	CacheEntries int
 	// Synth is the server-wide synthesis configuration; its semantic
 	// knobs are part of every fingerprint.
@@ -84,7 +84,6 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	store     *Store
-	shards    *ShardStore
 	sched     *Scheduler
 	metrics   Metrics
 	mux       *http.ServeMux
@@ -149,7 +148,6 @@ func New(cfg Config) (*Server, error) {
 	sv := &Server{
 		cfg:    cfg,
 		store:  store,
-		shards: NewShardStore(),
 		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
 		mux:    http.NewServeMux(),
 		jobs:   newJobTable(cfg.MaxJobs),
@@ -282,6 +280,14 @@ func (sv *Server) resolveTarget(name, inline string) (targetDef, error) {
 	}
 }
 
+// materialize loads the target into a fresh builder: the Materializer
+// every load, resynthesis and synthesis of def starts from.
+func (def targetDef) materialize() (*term.Builder, *isa.Target, error) {
+	b := term.NewBuilder()
+	tgt, err := def.load(b)
+	return b, tgt, err
+}
+
 // builtinTargets names the targets resolved from their builtin spec.
 var builtinTargets = []string{"aarch64", "riscv", "x86"}
 
@@ -344,30 +350,95 @@ func (sv *Server) resolveConfig(def targetDef, selector string) targetConfig {
 // lineageKey identifies the incremental line of descent a request
 // belongs to: the full-cache fingerprint *minus the spec text*. Two
 // revisions of a spec share a lineage, which is exactly what lets the
-// shard store answer the second revision from the first one's shards.
+// second revision resynthesize from the first one's library.
 func (sv *Server) lineageKey(def targetDef, cfg core.Config) string {
 	return rules.Fingerprint(fingerprintScheme, "lineage", def.name,
 		cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns))
 }
 
+// libRequest is what every library-consuming endpoint asks of the
+// cache: a target (builtin, or named inline spec), a selector and a
+// synthesis deadline.
+type libRequest struct {
+	target, spec, selector string
+	timeoutMS              int64
+	// selecting marks the selection endpoints: the target must have a
+	// backend, and the selector is validated and defaults to greedy.
+	selecting bool
+	// fingerprint, when set, is the key a peer computed for the request;
+	// a different key here is replica config skew (409).
+	fingerprint string
+}
+
+// libQuery is a libRequest resolved against this server; tc.cfg.Selector
+// is the selector it runs under.
+type libQuery struct {
+	def     targetDef
+	tc      targetConfig
+	timeout time.Duration
+}
+
+// resolve turns a libRequest into a libQuery, or into the HTTP status
+// and error to answer with.
+func (sv *Server) resolve(lr libRequest) (libQuery, int, error) {
+	def, err := sv.resolveTarget(lr.target, lr.spec)
+	if err != nil {
+		return libQuery{}, http.StatusBadRequest, err
+	}
+	selector := lr.selector
+	if lr.selecting {
+		if def.backend == nil {
+			return libQuery{}, http.StatusBadRequest,
+				fmt.Errorf("target %q has no selection backend (selection targets: aarch64, riscv)", def.name)
+		}
+		if selector, err = normalizeSelector(selector); err != nil {
+			return libQuery{}, http.StatusBadRequest, err
+		}
+	}
+	tc := sv.effectiveConfig(def, selector)
+	if lr.fingerprint != "" && lr.fingerprint != tc.fp {
+		return libQuery{}, http.StatusConflict,
+			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", lr.fingerprint, tc.fp)
+	}
+	timeout := sv.cfg.DefaultTimeout
+	if lr.timeoutMS > 0 {
+		timeout = time.Duration(lr.timeoutMS) * time.Millisecond
+	}
+	return libQuery{def: def, tc: tc, timeout: timeout}, http.StatusOK, nil
+}
+
+// acquire is the library step of every synchronous endpoint: resolve the
+// request, then entryFor. On failure it has already answered w.
+func (sv *Server) acquire(w http.ResponseWriter, r *http.Request, lr libRequest, allowPeer bool) (libQuery, *Entry, string, bool) {
+	q, status, err := sv.resolve(lr)
+	var e *Entry
+	var cache string
+	if err == nil {
+		e, cache, status, err = sv.entryFor(r.Context(), q, allowPeer)
+	}
+	if err != nil {
+		sv.fail(w, status, err)
+		return q, nil, "", false
+	}
+	return q, e, cache, true
+}
+
 // entryFor implements the cache protocol shared by /v1/synthesize,
 // /v1/select (single and batch), /v1/jobs, and /v1/artifact: memory
-// hit, or join an in-flight job, or own a new job (disk layer, then —
-// with allowPeer — a peer fill from the fingerprint's ring owner, then
-// synthesis under the deadline). The returned cache string is the path
-// taken: "hit", "disk", "peer", "miss", or "join". On error, the
-// returned status is the HTTP code to answer with. allowPeer is false
-// exactly when the request *is* a peer fill, so replicas can never fill
-// from each other in a cycle.
-func (sv *Server) entryFor(ctx context.Context, def targetDef, tc targetConfig, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
-	cfg, fp := tc.cfg, tc.fp
+// hit, or join an in-flight job, or own a new job that runs fill. The
+// returned cache string is the path taken: "hit", "disk", "peer",
+// "incr", "miss", or "join". On error, the returned status is the HTTP
+// code to answer with. allowPeer is false exactly when the request *is*
+// a peer fill, so replicas can never fill from each other in a cycle.
+func (sv *Server) entryFor(ctx context.Context, q libQuery, allowPeer bool) (e *Entry, cache string, status int, err error) {
+	fp := q.tc.fp
 	e, fl, owner := sv.store.Acquire(fp)
 	if e != nil {
 		sv.metrics.CacheHits.Add(1)
 		return e, "hit", http.StatusOK, nil
 	}
 	if owner {
-		lk := sv.lineageKey(def, cfg)
+		lk := sv.lineageKey(q.def, q.tc.cfg)
 		rid := RequestIDFrom(ctx)
 		// The flight outlives the HTTP request (joiners may be served
 		// after the opener disconnects), so the sampled trace context is
@@ -385,51 +456,18 @@ func (sv *Server) entryFor(ctx context.Context, def targetDef, tc targetConfig, 
 				fsp = sv.obsv.TracerOrNil().StartRemote("synth flight", tc).
 					SetStr("fingerprint", fp)
 			}
-			if ent, ok := sv.store.LoadDisk(fp, func() (*term.Builder, *isa.Target, error) {
-				b := term.NewBuilder()
-				tgt, err := def.load(b)
-				return b, tgt, err
-			}); ok {
-				sv.metrics.DiskHits.Add(1)
-				sv.store.Complete(fp, ent, nil)
-				sv.shards.Update(lk, ent.Target, ent.Lib)
-				fsp.SetStr("origin", "disk").End()
-				return
+			ent, err := sv.fill(q, lk, rid, allowPeer, fsp.Context())
+			origin := "error"
+			if err == nil {
+				origin = ent.Origin
 			}
-			// Disk miss: ask the fingerprint's ring owner before doing any
-			// work ourselves — across the fleet, only the owner ever
-			// synthesizes a key, so N replicas missing at once still cost
-			// one synthesis (the owner's local singleflight collapses the
-			// concurrent fills).
-			if allowPeer && sv.filler != nil {
-				if ent, ok := sv.fillFromPeer(def, fp, cfg.Selector, rid, timeout, fsp.Context()); ok {
-					sv.metrics.PeerFills.Add(1)
-					sv.store.Complete(fp, ent, nil)
-					if !ent.Partial {
-						sv.shards.Update(lk, ent.Target, ent.Lib)
-					}
-					fsp.SetStr("origin", "peer").End()
-					return
-				}
-			}
-			// Local fill: if this lineage has completed before (same target
-			// name and config, different spec text), resynthesize from its
-			// shards instead of from scratch.
-			ent, ok := sv.runIncremental(def, cfg, fp, lk, timeout)
-			var err error
-			origin := "incremental"
-			if !ok {
-				ent, err = sv.runSynthesis(def, cfg, fp, timeout)
-				origin = "synthesized"
+			// The span and the lineage are done before the waiters wake,
+			// so whatever a client asks after its response sees both.
+			fsp.SetStr("origin", origin).End()
+			if err == nil && !ent.Partial {
+				sv.store.setLineage(lk, ent.Target, ent.Lib)
 			}
 			sv.store.Complete(fp, ent, err)
-			if err == nil && ent != nil && !ent.Partial {
-				sv.shards.Update(lk, ent.Target, ent.Lib)
-			}
-			if err != nil {
-				origin = "error"
-			}
-			fsp.SetStr("origin", origin).End()
 		}
 		if err := sv.sched.Submit(job); err != nil {
 			// The flight must still resolve or joiners would hang.
@@ -465,35 +503,66 @@ func (sv *Server) entryFor(ctx context.Context, def targetDef, tc targetConfig, 
 	return ent, cache, http.StatusOK, nil
 }
 
+// fill produces the entry a flight owner is missing: the disk layer,
+// then — with allowPeer — the fingerprint's ring owner (across the
+// fleet only the owner synthesizes a key, so N replicas missing at once
+// still cost one synthesis), then an incremental resynthesis from the
+// lineage's last library (same target name and config, different spec
+// text), and last a synthesis from scratch.
+func (sv *Server) fill(q libQuery, lk, rid string, allowPeer bool, tc obs.TraceContext) (*Entry, error) {
+	if ent, ok := sv.store.LoadDisk(q.tc.fp, q.def.materialize); ok {
+		sv.metrics.DiskHits.Add(1)
+		return ent, nil
+	}
+	if allowPeer && sv.filler != nil {
+		if ent, ok := sv.fillFromPeer(q, rid, tc); ok {
+			sv.metrics.PeerFills.Add(1)
+			return ent, nil
+		}
+	}
+	if ent, ok := sv.runIncremental(q, lk); ok {
+		return ent, nil
+	}
+	return sv.runSynthesis(q)
+}
+
+// withTimeout is the context a detached job runs under: timeout bounds
+// it when positive.
+func withTimeout(timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(context.Background(), timeout)
+	}
+	return context.Background(), func() {}
+}
+
 // runIncremental attempts to answer a full-cache miss from the
-// lineage's shards: load the new spec, diff its instruction
-// fingerprints against the shards' provenance, re-verify the rules
-// whose support is unchanged (randomized evaluation, zero solver
-// queries), and synthesize only the remainder. Returns ok=false when
-// the lineage has no prior result or the resynthesis fails — the
+// lineage's last library: load the new spec, diff its instruction
+// fingerprints against the ones the library text records, re-verify
+// the rules whose support is unchanged (randomized evaluation, zero
+// solver queries), and synthesize only the remainder. Returns ok=false
+// when the lineage has no prior result or the resynthesis fails — the
 // caller then falls back to a from-scratch run.
-func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, timeout time.Duration) (*Entry, bool) {
-	art := sv.shards.Artifact(lk)
-	if art == nil {
+func (sv *Server) runIncremental(q libQuery, lk string) (*Entry, bool) {
+	text := sv.store.lineageText(lk)
+	if text == "" {
+		return nil, false
+	}
+	art, err := incr.ParseArtifact(text)
+	if err != nil {
 		return nil, false
 	}
 	t0 := time.Now()
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
+	ctx, cancel := withTimeout(q.timeout)
 	defer cancel()
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
+	b, tgt, err := q.def.materialize()
 	if err != nil {
 		return nil, false
 	}
 	// The corpus is derived the same way runSynthesis derives it, which
 	// is the consistency the incremental planner requires.
-	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
+	pats := harness.CorpusPatterns(q.def.name, sv.cfg.MaxPatterns)
 	lib, rep, err := incr.Resynthesize(b, tgt, art, incr.Options{
-		Config: cfg, Patterns: pats, Context: ctx,
+		Config: q.tc.cfg, Patterns: pats, Context: ctx,
 	})
 	if err != nil {
 		return nil, false
@@ -507,8 +576,8 @@ func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, 
 	}
 	sv.metrics.AddStages(rep.Stats)
 	return &Entry{
-		Fingerprint: fp,
-		TargetName:  def.name,
+		Fingerprint: q.tc.fp,
+		TargetName:  q.def.name,
 		B:           b,
 		Target:      tgt,
 		Lib:         lib,
@@ -525,27 +594,23 @@ func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, 
 // sequence pool, synthesize the corpus patterns — under the job's own
 // deadline (detached from any HTTP request context, so a disconnecting
 // client cannot degrade a shared flight to a partial result).
-func (sv *Server) runSynthesis(def targetDef, cfg core.Config, fp string, timeout time.Duration) (*Entry, error) {
+func (sv *Server) runSynthesis(q libQuery) (*Entry, error) {
 	t0 := time.Now()
 	// The deadline clock starts before pool construction: the budget is
 	// for the whole job, and an exhausted budget degrades the wave loop
 	// to index-only lookups rather than aborting with nothing.
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
+	ctx, cancel := withTimeout(q.timeout)
 	defer cancel()
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
+	b, tgt, err := q.def.materialize()
 	if err != nil {
 		return nil, err
 	}
+	cfg := q.tc.cfg
 	syn := core.New(b, tgt, cfg)
 	syn.BuildPool()
-	lib := rules.NewLibrary(def.name)
+	lib := rules.NewLibrary(q.def.name)
 	lib.Model = cfg.CostModel
-	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
+	pats := harness.CorpusPatterns(q.def.name, sv.cfg.MaxPatterns)
 	partial := syn.SynthesizeCtx(ctx, pats, lib)
 	lib.Freeze()
 	sv.metrics.SynthRuns.Add(1)
@@ -554,8 +619,8 @@ func (sv *Server) runSynthesis(def targetDef, cfg core.Config, fp string, timeou
 	}
 	sv.metrics.AddStages(syn.Stats.Snapshot())
 	return &Entry{
-		Fingerprint: fp,
-		TargetName:  def.name,
+		Fingerprint: q.tc.fp,
+		TargetName:  q.def.name,
 		B:           b,
 		Target:      tgt,
 		Lib:         lib,
@@ -589,7 +654,7 @@ type SynthesizeResponse struct {
 	Cache       string  `json:"cache"` // hit | disk | miss | join | incr
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	// Reused and Resynthesized report, for cache=incr responses, how many
-	// rules were carried over from the lineage's shards (re-verified, no
+	// rules were carried over from the lineage's library (re-verified, no
 	// solver) versus synthesized for the delta.
 	Reused        int             `json:"reused_rules,omitempty"`
 	Resynthesized int             `json:"resynthesized_rules,omitempty"`
@@ -598,41 +663,35 @@ type SynthesizeResponse struct {
 	Library       string          `json:"library,omitempty"`
 }
 
+// synthesizeResponse answers a synthesis request, synchronous or async.
+func synthesizeResponse(e *Entry, cache string, emit bool) *SynthesizeResponse {
+	resp := &SynthesizeResponse{
+		Target:        e.TargetName,
+		Fingerprint:   e.Fingerprint,
+		Rules:         e.Lib.Len(),
+		Partial:       e.Partial,
+		Cache:         cache,
+		ElapsedMS:     float64(e.Elapsed.Nanoseconds()) / 1e6,
+		Reused:        e.Reused,
+		Resynthesized: e.Resynth,
+		BySource:      e.Lib.Summarize().BySource,
+		Stats:         e.Stats,
+	}
+	if emit {
+		resp.Library = e.Lib.Emit()
+	}
+	return resp
+}
+
 func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req SynthesizeRequest
 	if !sv.decode(w, r, &req) {
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, req.Spec)
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
-		return
+	_, e, cache, ok := sv.acquire(w, r, libRequest{target: req.Target, spec: req.Spec, timeoutMS: req.TimeoutMS}, true)
+	if ok {
+		writeJSON(w, http.StatusOK, synthesizeResponse(e, cache, req.Emit))
 	}
-	tc := sv.effectiveConfig(def, "")
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
-	if err != nil {
-		sv.fail(w, status, err)
-		return
-	}
-	resp := SynthesizeResponse{
-		Target:      e.TargetName,
-		Fingerprint: e.Fingerprint,
-		Rules:       e.Lib.Len(),
-		Partial:     e.Partial,
-		Cache:       cache,
-		ElapsedMS:   float64(e.Elapsed.Nanoseconds()) / 1e6,
-		BySource:    e.Lib.Summarize().BySource,
-		Stats:       e.Stats,
-	}
-	resp.Reused, resp.Resynthesized = e.Reused, e.Resynth
-	if req.Emit {
-		resp.Library = e.Lib.Emit()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // SelectRequest is the body of POST /v1/select: lower one gMIR program
@@ -726,154 +785,88 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !sv.decode(w, r, &req) {
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, "")
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if def.backend == nil {
-		sv.fail(w, http.StatusBadRequest,
-			fmt.Errorf("target %q has no selection backend (selection targets: aarch64, riscv)", def.name))
-		return
-	}
-	scale := req.Scale
-	if scale < 1 {
-		scale = 1
-	}
 	var work *bench.Workload
 	switch {
 	case req.Program != "" && req.Workload != "":
-		sv.fail(w, http.StatusBadRequest, fmt.Errorf(`set "workload" or "program", not both`))
+		sv.fail(w, http.StatusBadRequest, errors.New(`set "workload" or "program", not both`))
 		return
 	case req.Program == "":
-		suite := bench.Suite(scale)
+		suite := bench.Suite(max(req.Scale, 1))
+		names := make([]string, len(suite))
 		for i := range suite {
-			if suite[i].Name == req.Workload {
+			if work == nil && suite[i].Name == req.Workload {
 				work = &suite[i]
-				break
 			}
+			names[i] = suite[i].Name
 		}
 		if work == nil {
-			names := make([]string, len(suite))
-			for i := range suite {
-				names[i] = suite[i].Name
-			}
 			sv.fail(w, http.StatusBadRequest, fmt.Errorf("unknown workload %q (have %v)", req.Workload, names))
 			return
 		}
 	}
-	selector, err := normalizeSelector(req.Selector)
-	if err != nil {
-		sv.fail(w, http.StatusBadRequest, err)
+	q, e, cache, ok := sv.acquire(w, r, libRequest{target: req.Target, selector: req.Selector,
+		timeoutMS: req.TimeoutMS, selecting: true}, true)
+	if !ok {
 		return
 	}
-	tc := sv.effectiveConfig(def, selector)
-	cfg := tc.cfg
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	env := sv.newProgEnv(q, e, req.VectorSeed, 1, req.Emit)
+	resp := SelectResponse{
+		Target:      q.def.name,
+		Workload:    "program",
+		Fingerprint: e.Fingerprint,
+		Cache:       cache,
+		Partial:     e.Partial,
+		Selector:    q.tc.cfg.Selector,
+		CostVersion: q.tc.costVersion,
 	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, tc, timeout, true)
-	if err != nil {
-		sv.fail(w, status, err)
-		return
-	}
-	if req.Program != "" {
-		env := sv.newProgEnv(def, e, cfg.CostModel, selector, req.VectorSeed, 1, req.Emit)
-		res := env.selectProgram(0, req.Program)
+	var res ProgramResult
+	var mf *mir.Func
+	if work == nil {
+		res, mf = env.selectProgram(0, req.Program)
 		if res.Error != "" {
 			sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("program: %s", res.Error))
 			return
 		}
-		sv.metrics.Selections.Add(1)
-		resp := SelectResponse{
-			Target:         def.name,
-			Workload:       "program",
-			Fingerprint:    e.Fingerprint,
-			Cache:          cache,
-			Partial:        e.Partial,
-			Fallback:       res.Fallback,
-			FallbackReason: res.FallbackReason,
-			RuleInsts:      res.RuleInsts,
-			HookInsts:      res.HookInsts,
-			Selector:       selector,
-			CostVersion:    tc.costVersion,
-			StaticCost:     res.StaticCost,
-			Cycles:         res.Cycles,
-			Insts:          res.Insts,
-			BinarySize:     res.BinarySize,
-			MIR:            res.MIR,
-		}
-		if len(res.Checksums) > 0 {
-			resp.Checksum = res.Checksums[0]
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bk := def.backend(e.Target, e.Lib)
-	bk.Obs = sv.obsv
-	if selector == "optimal" {
-		bk = isel.OptimalVariant(bk, cfg.CostModel)
-	}
-	f := work.Build()
-	isel.Prepare(f, def.name)
-	mf, rep := bk.Select(f)
-	sv.metrics.Selections.Add(1)
-	resp := SelectResponse{
-		Target:         def.name,
-		Workload:       work.Name,
-		Fingerprint:    e.Fingerprint,
-		Cache:          cache,
-		Partial:        e.Partial,
-		Fallback:       rep.Fallback,
-		FallbackReason: rep.FallbackReason,
-		RuleInsts:      rep.RuleInsts,
-		HookInsts:      rep.HookInsts,
-		RulesUsed:      rep.RulesUsed,
-		Selector:       selector,
-		CostVersion:    tc.costVersion,
-	}
-	if !rep.Fallback {
-		mem := gmir.NewMemory()
-		if work.InitMem != nil {
-			work.InitMem(mem)
-		}
-		m := &sim.Machine{Mem: mem, Model: cfg.CostModel}
-		res, err := m.Run(mf, work.Args)
-		if err != nil {
-			sv.fail(w, http.StatusInternalServerError, fmt.Errorf("sim: %w", err))
+		resp.RuleInsts, resp.HookInsts = res.RuleInsts, res.HookInsts
+	} else {
+		var rep *isel.Report
+		res, mf, rep = env.lower(0, work.Build(), [][]bv.BV{work.Args}, work.InitMem)
+		if res.Error != "" {
+			sv.fail(w, http.StatusInternalServerError, errors.New(res.Error))
 			return
 		}
-		resp.StaticCost = cost.StaticOf(mf, cfg.CostModel).String()
-		resp.Cycles = res.Cycles
-		resp.Insts = res.Insts
-		resp.BinarySize = mf.BinarySize()
-		resp.Checksum = res.Ret.String()
-		switch req.Emit {
-		case "mir":
-			resp.MIR = mf.String()
-		case "bytes":
-			c, cerr := enc.NewCodec(e.Target)
-			if cerr != nil {
-				sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("emit=bytes: %w", cerr))
-				return
-			}
-			img, aerr := enc.NewAssembler(c).Assemble(mf)
-			if aerr != nil {
-				sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("emit=bytes: %w", aerr))
-				return
-			}
-			resp.Bytes = hex.EncodeToString(img.Code)
-			for _, ln := range c.Disassemble(img.Code, img.Base) {
-				resp.Listing = append(resp.Listing, fmt.Sprintf("%#x: %s", ln.Addr, ln.Text))
-			}
+		// A workload answer reports the selector's counts even when it
+		// falls back.
+		resp.Workload, resp.RulesUsed = work.Name, rep.RulesUsed
+		resp.RuleInsts, resp.HookInsts = rep.RuleInsts, rep.HookInsts
+	}
+	sv.metrics.Selections.Add(1)
+	resp.Fallback, resp.FallbackReason = res.Fallback, res.FallbackReason
+	resp.StaticCost, resp.Cycles, resp.Insts = res.StaticCost, res.Cycles, res.Insts
+	resp.BinarySize, resp.MIR = res.BinarySize, res.MIR
+	if len(res.Checksums) > 0 {
+		resp.Checksum = res.Checksums[0]
+	}
+	if req.Emit == "bytes" && mf != nil {
+		c, err := enc.NewCodec(e.Target)
+		var img *enc.Image
+		if err == nil {
+			img, err = enc.NewAssembler(c).Assemble(mf)
+		}
+		if err != nil {
+			sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("emit=bytes: %w", err))
+			return
+		}
+		resp.Bytes = hex.EncodeToString(img.Code)
+		for _, ln := range c.Disassemble(img.Code, img.Base) {
+			resp.Listing = append(resp.Listing, fmt.Sprintf("%#x: %s", ln.Addr, ln.Text))
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	lineages, shards := sv.shards.Counts()
+	lineages, shards := sv.store.lineageCounts()
 	memoHits, memoMisses, memoStores := solver.Shared.Counters()
 	var exemplars []obs.HistExemplar
 	if m := sv.obsv.MetricsOrNil(); m != nil {

@@ -9,9 +9,12 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +43,8 @@ type Entry struct {
 	Stats   core.StageStats
 	Elapsed time.Duration
 	// Origin records how the entry came to exist: "synthesized",
-	// "incremental" (resynthesized from a lineage's shards), or "disk".
+	// "incremental" (resynthesized from its lineage's library), "disk",
+	// or "peer".
 	Origin string
 	// Reused and Resynth count, for incremental entries, how many rules
 	// were carried over re-verified versus produced by synthesis.
@@ -77,18 +81,17 @@ func (f *Flight) Wait(ctx context.Context) (*Entry, error) {
 // Store is the content-addressed rule-library cache: an in-memory layer,
 // an optional disk layer persisted via the Emit/parse round-trip
 // (re-verified on load, DESIGN invariant 8), and singleflight
-// deduplication of concurrent misses.
+// deduplication of concurrent misses. Beside the cache it keeps, per
+// incremental lineage, the latest full library in that same text form;
+// both are capped by the same LRU rule.
 type Store struct {
-	dir    string // "" = memory only
-	maxMem int    // LRU cap on in-memory entries; 0 = unbounded
-	logf   func(format string, args ...any)
+	dir  string // "" = memory only
+	logf func(format string, args ...any)
 
-	mu        sync.Mutex
-	mem       map[string]*Entry
-	used      map[string]uint64 // fingerprint -> last-touch tick
-	clock     uint64
-	evictions uint64
-	flights   map[string]*Flight
+	mu       sync.Mutex
+	mem      lru[*Entry]
+	lineages lru[lineage]
+	flights  map[string]*Flight
 
 	// Disk persists ride an asynchronous writer so Complete never holds
 	// waiters behind filesystem latency; Flush drains the queue (the
@@ -106,19 +109,71 @@ type persistReq struct {
 	e  *Entry
 }
 
+// lru is a string-keyed map that, past max entries (0 = unbounded),
+// evicts the least recently used one. Store guards it with its mutex.
+type lru[V any] struct {
+	max       int
+	vals      map[string]V
+	used      map[string]uint64 // key -> last-touch tick
+	clock     uint64
+	evictions uint64
+}
+
+func newLRU[V any](max int) lru[V] {
+	return lru[V]{max: max, vals: map[string]V{}, used: map[string]uint64{}}
+}
+
+// get returns the value held for k and marks it most recently used.
+func (c *lru[V]) get(k string) (V, bool) {
+	v, ok := c.vals[k]
+	if ok {
+		c.clock++
+		c.used[k] = c.clock
+	}
+	return v, ok
+}
+
+// put stores v under k as the most recently used value, then evicts
+// down to the cap.
+func (c *lru[V]) put(k string, v V) {
+	c.vals[k] = v
+	c.clock++
+	c.used[k] = c.clock
+	for c.max > 0 && len(c.vals) > c.max {
+		victim, oldest := "", uint64(0)
+		for k, tick := range c.used {
+			if victim == "" || tick < oldest {
+				victim, oldest = k, tick
+			}
+		}
+		delete(c.vals, victim)
+		delete(c.used, victim)
+		c.evictions++
+	}
+}
+
+// lineage is the latest full library of one incremental line of descent
+// (Server.lineageKey), as the isel.SaveLibraryFor text the disk layer
+// persists: incr.ParseArtifact reads it back for the planner.
+type lineage struct {
+	text   string
+	shards int // distinct supporting-instruction sets among its rules
+}
+
 // NewStore creates a store; dir, when non-empty, is created and used as
-// the disk layer. maxMem, when positive, caps the in-memory layer: the
-// least-recently-used entry is evicted on insertion past the cap (the
-// disk layer, when present, still holds the artifact, so an evicted
-// fingerprint re-verifies from disk rather than re-synthesizing).
+// the disk layer. maxMem, when positive, caps the in-memory layer and,
+// separately, the lineages: the least-recently-used one is evicted on
+// insertion past the cap (the disk layer, when present, still holds the
+// artifact, so an evicted fingerprint re-verifies from disk rather than
+// re-synthesizing).
 func NewStore(dir string, maxMem int) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	s := &Store{dir: dir, maxMem: maxMem, logf: log.Printf,
-		mem: map[string]*Entry{}, used: map[string]uint64{}, flights: map[string]*Flight{}}
+	s := &Store{dir: dir, logf: log.Printf, mem: newLRU[*Entry](maxMem),
+		lineages: newLRU[lineage](maxMem), flights: map[string]*Flight{}}
 	if dir != "" {
 		s.persistCh = make(chan persistReq, 64)
 		s.writerWG.Add(1)
@@ -150,8 +205,8 @@ func (s *Store) SetLogger(logf func(format string, args ...any)) {
 func (s *Store) Entries() []*Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Entry, 0, len(s.mem))
-	for _, e := range s.mem {
+	out := make([]*Entry, 0, len(s.mem.vals))
+	for _, e := range s.mem.vals {
 		out = append(out, e)
 	}
 	return out
@@ -163,12 +218,8 @@ func (s *Store) Entries() []*Entry {
 func (s *Store) Peek(fp string) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.mem[fp]; e != nil {
-		s.clock++
-		s.used[fp] = s.clock
-		return e
-	}
-	return nil
+	e, _ := s.mem.get(fp)
+	return e
 }
 
 // Flush blocks until every queued disk persist has been written (or ctx
@@ -202,9 +253,7 @@ func (s *Store) Close() {
 func (s *Store) Acquire(fp string) (e *Entry, fl *Flight, owner bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.mem[fp]; e != nil {
-		s.clock++
-		s.used[fp] = s.clock
+	if e, ok := s.mem.get(fp); ok {
 		return e, nil, false
 	}
 	if fl := s.flights[fp]; fl != nil {
@@ -224,10 +273,7 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 	fl := s.flights[fp]
 	delete(s.flights, fp)
 	if e != nil && err == nil && !e.Partial {
-		s.mem[fp] = e
-		s.clock++
-		s.used[fp] = s.clock
-		s.evictLocked()
+		s.mem.put(fp, e)
 	}
 	s.mu.Unlock()
 	persist := s.dir != "" && e != nil && err == nil && !e.Partial &&
@@ -253,37 +299,55 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 	}
 }
 
-// evictLocked drops least-recently-used entries until the memory layer
-// is back under its cap. Caller holds s.mu.
-func (s *Store) evictLocked() {
-	if s.maxMem <= 0 {
-		return
-	}
-	for len(s.mem) > s.maxMem {
-		victim, oldest := "", uint64(0)
-		for fp, tick := range s.used {
-			if victim == "" || tick < oldest {
-				victim, oldest = fp, tick
-			}
-		}
-		delete(s.mem, victim)
-		delete(s.used, victim)
-		s.evictions++
-	}
-}
-
 // MemLen returns the number of in-memory entries.
 func (s *Store) MemLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	return len(s.mem.vals)
 }
 
 // Evictions returns how many entries the LRU cap has evicted.
 func (s *Store) Evictions() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.evictions
+	return s.mem.evictions
+}
+
+// setLineage records a full library, verified against tgt, as the
+// latest of lineage key.
+func (s *Store) setLineage(key string, tgt *isa.Target, lib *rules.Library) {
+	sets := map[string]bool{}
+	for _, r := range lib.Rules {
+		names := make([]string, len(r.Prov))
+		for i, p := range r.Prov {
+			names[i] = p.Name // SupportOf returns them sorted and deduplicated
+		}
+		sets[strings.Join(names, ",")] = true
+	}
+	ln := lineage{text: isel.SaveLibraryFor(lib, tgt), shards: len(sets)}
+	s.mu.Lock()
+	s.lineages.put(key, ln)
+	s.mu.Unlock()
+}
+
+// lineageText returns the library text lineage key last completed with,
+// or "" when it never has (or was evicted).
+func (s *Store) lineageText(key string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ln, _ := s.lineages.get(key)
+	return ln.text
+}
+
+// lineageCounts reports the lineages held and their shards — rule groups
+// sharing one supporting-instruction set — for /v1/metrics.
+func (s *Store) lineageCounts() (lineages, shards int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ln := range s.lineages.vals {
+		shards += ln.shards
+	}
+	return len(s.lineages.vals), shards
 }
 
 func (s *Store) path(fp string) string {
@@ -316,10 +380,9 @@ func (s *Store) persist(fp string, e *Entry) error {
 	return os.Rename(tmp.Name(), s.path(fp))
 }
 
-// LoadDisk attempts the disk layer for a fingerprint: the persisted text
-// is parsed against a freshly materialized target and every rule is
-// re-verified (corrupt or stale artifacts are treated as misses, never
-// served). Called by the flight owner before falling back to synthesis.
+// LoadDisk attempts the disk layer for a fingerprint through loadEntry
+// (corrupt or stale artifacts are treated as misses, never served).
+// Called by the flight owner before falling back to synthesis.
 func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 	if s.dir == "" {
 		return nil, false
@@ -328,12 +391,10 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	t0 := time.Now()
-	b, tgt, err := mat()
-	if err != nil {
+	e, err := loadEntry(fp, string(text), mat)
+	if errors.Is(err, errMaterialize) {
 		return nil, false
 	}
-	lib, err := isel.LoadLibrary(b, tgt, string(text))
 	if err != nil {
 		// A library that no longer verifies is poison for serving but
 		// evidence for debugging: quarantine it aside (never fail the
@@ -350,6 +411,28 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 		logf("service: disk artifact %s failed verification (%v); quarantined to %s", fp, err, q)
 		return nil, false
 	}
+	e.Origin = "disk"
+	return e, true
+}
+
+// errMaterialize marks a loadEntry failure to build the target itself,
+// which says nothing about the artifact.
+var errMaterialize = errors.New("service: materialize target")
+
+// loadEntry is the one verified load of a serialized library, from disk
+// or from a peer alike: the text is parsed against a freshly
+// materialized target and every rule is re-verified, so an artifact is
+// trusted no further than it checks out here.
+func loadEntry(fp, text string, mat Materializer) (*Entry, error) {
+	t0 := time.Now()
+	b, tgt, err := mat()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errMaterialize, err)
+	}
+	lib, err := isel.LoadLibrary(b, tgt, text)
+	if err != nil {
+		return nil, err
+	}
 	lib.Freeze()
 	return &Entry{
 		Fingerprint: fp,
@@ -358,6 +441,5 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 		Target:      tgt,
 		Lib:         lib,
 		Elapsed:     time.Since(t0),
-		Origin:      "disk",
-	}, true
+	}, nil
 }
